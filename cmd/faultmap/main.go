@@ -10,8 +10,9 @@
 //	         [-sweep dense|traced]
 //
 // -sweep traced replaces the dense grid sweep with the adaptive
-// boundary tracer (DESIGN.md §14): identical map, a fraction of the
-// simulations; the simulated/inferred split is reported on stderr.
+// boundary tracer (DESIGN.md §14): a fraction of the simulations, and
+// the same map wherever every fault region holds a sample; the
+// simulated/inferred split is reported on stderr.
 //
 // The -sos flag accepts either a bare SOS ("1r1", "1v [w0BL] r1v") or a
 // full fault primitive whose S part is used.
@@ -35,6 +36,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -43,16 +45,13 @@ import (
 	"strings"
 
 	"github.com/memtest/partialfaults/internal/analysis"
-	"github.com/memtest/partialfaults/internal/behav"
-	"github.com/memtest/partialfaults/internal/bitsim"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/dram"
 	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/lint"
 	"github.com/memtest/partialfaults/internal/march"
-	"github.com/memtest/partialfaults/internal/netlint"
-	"github.com/memtest/partialfaults/internal/numeric"
 	"github.com/memtest/partialfaults/internal/report"
+	"github.com/memtest/partialfaults/internal/request"
 	"github.com/memtest/partialfaults/internal/stress"
 )
 
@@ -60,32 +59,95 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// options holds the parsed flags.
+type options struct {
+	open                                          int
+	sos, float, engine, sweep                     string
+	grid                                          request.Grid
+	csv, lint, predict, stress                    bool
+	defects, twoCell, marchEngine, prove, corners string
+}
+
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("faultmap", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		openID    = fs.Int("open", 4, "open defect number (1-9, Figure 2)")
-		sosStr    = fs.String("sos", "1r1", "sensitizing operation sequence or fault primitive")
-		floatVar  = fs.String("float", "", "floating voltage to sweep (default: the open's primary group)")
-		engine    = fs.String("engine", "behav", "simulation engine: behav (analytical) or spice (transient)")
-		rdefMin   = fs.Float64("rdef-min", 1e3, "minimum open resistance [Ω]")
-		rdefMax   = fs.Float64("rdef-max", 1e7, "maximum open resistance [Ω]")
-		rdefSteps = fs.Int("rdef-steps", 13, "log-spaced resistance steps")
-		uMin      = fs.Float64("u-min", 0, "minimum floating voltage [V]")
-		uMax      = fs.Float64("u-max", 3.3, "maximum floating voltage [V]")
-		uSteps    = fs.Int("u-steps", 12, "linear voltage steps")
-		csv       = fs.Bool("csv", false, "emit CSV instead of the ASCII map")
-		sweepMode = fs.String("sweep", "dense", "plane-sweep strategy: dense (simulate every grid point) or traced (adaptive boundary tracing, identical map)")
-		doLint    = fs.Bool("lint", false, "run the static-analysis pre-flight and abort on errors")
-		predict   = fs.Bool("predict", false, "print the statically predicted floating-line set for the open and exit")
-		defSite   = fs.String("defect", "", "comma-separated short/bridge defect sites, each optionally @ohms (e.g. short.cell.gnd,bridge.cell.cell or short.bl.vdd@2e3); with -predict, prints the net-merge verdict table instead of an open's float set")
-		twoCell   = fs.String("twocell", "", "march test name (or \"all\") whose two-cell coverage certificate to print; exits nonzero on an unsound certificate")
-		marchEng  = fs.String("march-engine", "memsim", "march simulation backend for -twocell: memsim (scalar oracle) or bitsim (bit-plane)")
-		proveTest = fs.String("prove", "", "march test name (or \"all\") whose static three-valued detection matrix to print; exits nonzero when the prover and the completion pre-pass disagree")
-		doStress  = fs.Bool("stress", false, "sweep the defect catalog at every operating corner and print per-corner inventories, corner deltas and the worst-corner coverage certificate")
-		cornersFl = fs.String("corners", "", "semicolon-separated corner list for -stress: built-in names (nominal, low-vdd, high-vdd, weak-precharge, hot, cold) or name:key=val,... derivations (keys vdd, vpp, bleq, vref, temp); default: the built-in set")
-	)
-	if err := fs.Parse(args); err != nil {
+	o := &options{}
+	fs.IntVar(&o.open, "open", 4, "open defect number (1-9, Figure 2)")
+	fs.StringVar(&o.sos, "sos", "1r1", "sensitizing operation sequence or fault primitive")
+	fs.StringVar(&o.float, "float", "", "floating voltage to sweep (default: the open's primary group)")
+	fs.StringVar(&o.engine, "engine", "behav", "simulation engine: behav (analytical) or spice (transient)")
+	fs.Float64Var(&o.grid.RDefMin, "rdef-min", 1e3, "minimum open resistance [Ω]")
+	fs.Float64Var(&o.grid.RDefMax, "rdef-max", 1e7, "maximum open resistance [Ω]")
+	fs.IntVar(&o.grid.RDefSteps, "rdef-steps", 13, "log-spaced resistance steps")
+	fs.Float64Var(&o.grid.UMin, "u-min", 0, "minimum floating voltage [V]")
+	fs.Float64Var(&o.grid.UMax, "u-max", 3.3, "maximum floating voltage [V]")
+	fs.IntVar(&o.grid.USteps, "u-steps", 12, "linear voltage steps")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of the ASCII map")
+	fs.StringVar(&o.sweep, "sweep", "dense", "plane-sweep strategy: dense (simulate every grid point) or traced (adaptive boundary tracing; the same map wherever every fault region holds a sample)")
+	fs.BoolVar(&o.lint, "lint", false, "run the static-analysis pre-flight and abort on errors")
+	fs.BoolVar(&o.predict, "predict", false, "print the statically predicted floating-line set for the open and exit")
+	fs.StringVar(&o.defects, "defect", "", "comma-separated short/bridge defect sites, each optionally @ohms (e.g. short.cell.gnd,bridge.cell.cell or short.bl.vdd@2e3); with -predict, prints the net-merge verdict table instead of an open's float set")
+	fs.StringVar(&o.twoCell, "twocell", "", "march test name (or \"all\") whose two-cell coverage certificate to print; exits nonzero on an unsound certificate")
+	fs.StringVar(&o.marchEngine, "march-engine", "memsim", "march simulation backend for -twocell: memsim (scalar oracle) or bitsim (bit-plane)")
+	fs.StringVar(&o.prove, "prove", "", "march test name (or \"all\") whose static three-valued detection matrix to print; exits nonzero when the prover and the completion pre-pass disagree")
+	fs.BoolVar(&o.stress, "stress", false, "sweep the defect catalog at every operating corner and print per-corner inventories, corner deltas and the worst-corner coverage certificate")
+	fs.StringVar(&o.corners, "corners", "", "semicolon-separated corner list for -stress: built-in names (nominal, low-vdd, high-vdd, weak-precharge, hot, cold) or name:key=val,... derivations (keys vdd, vpp, bleq, vref, temp); default: the built-in set")
+	return o, fs.Parse(args)
+}
+
+// The service-backed modes build the same requests pfserve serves.
+
+func (o *options) stressRequest() *request.Stress {
+	return &request.Stress{Engine: o.engine, MarchEngine: o.marchEngine, Corners: o.corners, Grid: o.grid, Sweep: o.sweep}
+}
+
+func (o *options) matrixRequest() *request.Matrix {
+	if o.prove == "all" {
+		return &request.Matrix{}
+	}
+	return &request.Matrix{Tests: []string{o.prove}}
+}
+
+// twoCellRequests builds one certificate request per named test, or per
+// library test for "all".
+func (o *options) twoCellRequests() []*request.TwoCell {
+	if o.twoCell != "all" {
+		return []*request.TwoCell{{Test: o.twoCell, Engine: o.marchEngine}}
+	}
+	var qs []*request.TwoCell
+	for _, t := range march.All() {
+		qs = append(qs, &request.TwoCell{Test: t.Name, Engine: o.marchEngine})
+	}
+	return qs
+}
+
+// predictRequest builds the merge prediction of -defect, each site
+// optionally suffixed "@ohms" for a resistive (weak) bridge, or else
+// the float prediction of -open.
+func (o *options) predictRequest() (*request.Predict, error) {
+	if o.defects == "" {
+		return &request.Predict{Open: o.open}, nil
+	}
+	q := &request.Predict{}
+	for _, part := range strings.Split(o.defects, ",") {
+		part = strings.TrimSpace(part)
+		d := request.PredictDefect{Site: part}
+		if at := strings.IndexByte(part, '@'); at >= 0 {
+			d.Site = part[:at]
+			v, err := strconv.ParseFloat(part[at+1:], 64)
+			if err != nil || v < 0 {
+				return nil, fmt.Errorf("bad resistance in %q; want e.g. %s@2e3", part, d.Site)
+			}
+			d.Ohms = v
+		}
+		q.Defects = append(q.Defects, d)
+	}
+	return q, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parseFlags(args, stderr)
+	if err != nil {
 		return 2
 	}
 	fail := func(format string, a ...any) int {
@@ -93,106 +155,89 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if *doLint {
+	if o.lint {
 		if err := preflight(stderr); err != nil {
 			return fail("%v", err)
 		}
 	}
-
-	if *doStress {
-		err := stressMatrix(stdout, stderr, stressOpts{
-			engine: *engine, marchEngine: *marchEng,
-			corners: *cornersFl, sweep: *sweepMode,
-			rdefs: numeric.Logspace(*rdefMin, *rdefMax, *rdefSteps),
-			us:    numeric.Linspace(*uMin, *uMax, *uSteps),
-		})
-		if err != nil {
-			return fail("%v", err)
-		}
-		return 0
-	}
-	if *proveTest != "" {
-		if err := detectionMatrix(stdout, *proveTest); err != nil {
-			return fail("%v", err)
-		}
-		return 0
-	}
-	if *twoCell != "" {
-		if err := twoCellCertificates(stdout, *twoCell, *marchEng); err != nil {
-			return fail("%v", err)
-		}
-		return 0
-	}
-	if *defSite != "" {
-		if err := predictMerge(stdout, *defSite); err != nil {
-			return fail("%v", err)
-		}
-		return 0
-	}
-	open, ok := defect.ByID(*openID)
-	if !ok {
-		return fail("unknown open %d; the paper defines opens 1-9", *openID)
-	}
-	if *predict {
-		if err := predictFloats(stdout, open); err != nil {
-			return fail("%v", err)
-		}
-		return 0
-	}
-	sos, err := parseSOSOrFP(*sosStr)
+	env, err := request.NewEnv(nil, nil, 0)
 	if err != nil {
-		return fail("bad -sos: %v", err)
+		return fail("%v", err)
+	}
+	switch {
+	case o.stress:
+		env.Progress = func(line string) { fmt.Fprintf(stderr, "faultmap: %s\n", line) }
+		err = stressMatrix(stdout, env, o.stressRequest())
+	case o.prove != "":
+		err = detectionMatrix(stdout, env, o.matrixRequest())
+	case o.twoCell != "":
+		err = twoCellCertificates(stdout, env, o.twoCellRequests())
+	case o.defects != "" || o.predict:
+		err = predict(stdout, env, o)
+	default:
+		err = faultMap(stdout, stderr, env, o)
+	}
+	if err != nil {
+		return fail("%v", err)
+	}
+	return 0
+}
+
+// faultMap sweeps one (R_def, U) plane and prints its map (or CSV) and
+// the partial faults it shows.
+func faultMap(stdout, stderr io.Writer, env *request.Env, o *options) error {
+	opens, err := request.Opens([]int{o.open})
+	if err != nil {
+		return fmt.Errorf("%v; the paper defines opens 1-9", err)
+	}
+	open := opens[0]
+	sos, err := parseSOSOrFP(o.sos)
+	if err != nil {
+		return fmt.Errorf("bad -sos: %v", err)
 	}
 	group := open.Floats[0]
-	if *floatVar != "" {
-		g, ok := open.Float(defect.FloatVar(*floatVar))
+	if o.float != "" {
+		g, ok := open.Float(defect.FloatVar(o.float))
 		if !ok {
-			return fail("open %d has no floating group %q", *openID, *floatVar)
+			return fmt.Errorf("open %d has no floating group %q", o.open, o.float)
 		}
 		group = g
 	}
-	var factory analysis.Factory
-	switch *engine {
-	case "behav":
-		factory = behav.NewFactory(behav.DefaultParams())
-	case "spice":
-		factory = analysis.NewSpiceFactory(dram.Default())
-	default:
-		return fail("unknown engine %q", *engine)
-	}
-
-	mode, err := analysis.ParseSweepMode(*sweepMode)
+	factory, _, err := env.Factory(o.engine)
 	if err != nil {
-		return fail("bad -sweep: %v", err)
+		return err
 	}
-	var trace analysis.TraceCounters
-	plane, err := analysis.RunSweep(mode, 0, &trace, analysis.SweepConfig{
+	mode, err := analysis.ParseSweepMode(o.sweep)
+	if err != nil {
+		return fmt.Errorf("bad -sweep: %v", err)
+	}
+	grid := o.grid
+	if err := grid.Normalize(); err != nil {
+		return err
+	}
+	plane, err := analysis.RunSweep(mode, 0, env.Trace, analysis.SweepConfig{
 		Factory: factory, Open: open, Float: group, SOS: sos,
-		RDefs: numeric.Logspace(*rdefMin, *rdefMax, *rdefSteps),
-		Us:    numeric.Linspace(*uMin, *uMax, *uSteps),
+		RDefs: grid.RDefs, Us: grid.Us,
 	})
 	if err != nil {
-		return fail("sweep: %v", err)
+		return fmt.Errorf("sweep: %v", err)
 	}
 	if mode == analysis.SweepTraced {
-		ts, _ := trace.Snapshot()
+		ts, _ := env.Trace.Snapshot()
 		fmt.Fprintf(stderr, "faultmap: traced sweep simulated %d of %d points (%d inferred, %.1fx fewer simulations)\n",
 			ts.Simulated(), ts.Points(), ts.Inferred, ts.Reduction())
 	}
-	if *csv {
-		if err := report.WritePlaneCSV(stdout, plane); err != nil {
-			return fail("csv: %v", err)
-		}
-		return 0
+	if o.csv {
+		return report.WritePlaneCSV(stdout, plane)
 	}
 	if err := report.WritePlane(stdout, plane); err != nil {
-		return fail("map: %v", err)
+		return fmt.Errorf("map: %v", err)
 	}
 	for _, f := range analysis.IdentifyPartialFaults(plane) {
 		fmt.Fprintf(stdout, "partial fault: %s observed only for U ∈ [%.2f, %.2f] V (e.g. %s)\n",
 			f.FFM, f.ULow, f.UHigh, f.Example)
 	}
-	return 0
+	return nil
 }
 
 func parseSOSOrFP(s string) (fp.SOS, error) {
@@ -206,98 +251,40 @@ func parseSOSOrFP(s string) (fp.SOS, error) {
 	return fp.ParseSOS(s)
 }
 
-// predictFloats prints the floating-line set the netlist graph predicts
-// for the open — the static counterpart of the sweep's declared float
-// groups. Primary nets lose their only DC drive path when the open's
-// site element is cut; secondary nets are starved transitively because a
-// floating control net stops reaching their access gates.
-func predictFloats(w io.Writer, open defect.Open) error {
-	col, err := dram.NewColumn(dram.Default())
-	if err != nil {
-		return fmt.Errorf("predict: %v", err)
-	}
-	az := netlint.New(col.Circuit(), dram.LintModel())
-	pred := az.PredictFloats([]string{dram.SiteElementName(open.Site)})
-	fmt.Fprintf(w, "open %d cuts element %s\n", open.ID, dram.SiteElementName(open.Site))
-	fmt.Fprintf(w, "primary floats:   %s\n", joinOrNone(pred.Primary))
-	fmt.Fprintf(w, "secondary floats: %s\n", joinOrNone(pred.Secondary))
-	return nil
-}
-
-// predictMerge prints the net-merge verdict table for one or more
-// short/bridge defect sites, comma-separated, each optionally suffixed
-// "@ohms" for a resistive (weak) bridge: which nets become electrically
-// identified (transitively, across all sites at once), whether each
-// merged class is supply-stuck or contested per phase, how each weak
-// bridge's divider resolves, and the (empty) floating prediction — the
-// paper's Section 2 negative result, proven statically.
-func predictMerge(w io.Writer, arg string) error {
-	catalog := map[string]defect.ShortOrBridge{}
-	var sites []string
-	for _, s := range defect.ShortsAndBridges() {
-		sites = append(sites, s.Site)
-		catalog[s.Site] = s
-	}
-	var spec netlint.MergeSpec
-	for _, part := range strings.Split(arg, ",") {
-		part = strings.TrimSpace(part)
-		site, ohms := part, 0.0
-		if at := strings.IndexByte(part, '@'); at >= 0 {
-			site = part[:at]
-			v, err := strconv.ParseFloat(part[at+1:], 64)
-			if err != nil || v < 0 {
-				return fmt.Errorf("bad resistance in %q; want e.g. %s@2e3", part, site)
-			}
-			ohms = v
-		}
-		sb, ok := catalog[site]
-		if !ok {
-			return fmt.Errorf("unknown defect site %q; catalog: %s", site, strings.Join(sites, ", "))
-		}
-		fmt.Fprintf(w, "%s: %s\n", sb.Name(), sb.Description)
-		spec.Elems = append(spec.Elems, netlint.MergeElem{
-			Name: dram.SiteElementName(site), Ohms: ohms,
-		})
-	}
-	col, err := dram.NewColumn(dram.Default())
-	if err != nil {
-		return fmt.Errorf("predict: %v", err)
-	}
-	az := netlint.New(col.Circuit(), dram.LintModel())
-	pred, err := az.PredictMergeSet(spec)
-	if err != nil {
-		return fmt.Errorf("predict: %v", err)
-	}
-	if err := report.WriteMergePrediction(w, pred); err != nil {
-		return fmt.Errorf("predict: %v", err)
-	}
-	return nil
-}
-
-// twoCellCertificates prints the two-cell coverage certificate for the
-// named march test ("all" for the whole library) on a 4×2 array: every
-// catalog coupling fault's simulated detection verdict side by side
-// with the static completion pre-pass, plus the soundness check that no
-// statically proved miss was caught dynamically. The engine name picks
-// the simulation backend (the bit-plane engine produces identical
-// verdicts; useful for cross-checking and for larger geometries).
-func twoCellCertificates(w io.Writer, name, engineName string) error {
-	var eng march.Engine
-	switch engineName {
-	case "memsim":
-		eng = march.ScalarEngine{}
-	case "bitsim":
-		eng = bitsim.New()
-	default:
-		return fmt.Errorf("unknown -march-engine %q (want memsim or bitsim)", engineName)
-	}
-	tests, err := testsNamed(name)
+// predict prints a static net-prover verdict: the net-merge verdict
+// table of the -defect sites (each site's description first), or else
+// the floating-line set the netlist graph predicts for the open.
+func predict(w io.Writer, env *request.Env, o *options) error {
+	q, err := o.predictRequest()
 	if err != nil {
 		return err
 	}
+	p, err := request.Do[request.Prediction](context.Background(), env, q)
+	if err != nil {
+		return fmt.Errorf("predict: %v", err)
+	}
+	if p.Merges == nil {
+		fmt.Fprintf(w, "open %d cuts element %s\n", p.Open.ID, p.Element)
+		fmt.Fprintf(w, "primary floats:   %s\n", joinOrNone(p.Floats.Primary))
+		fmt.Fprintf(w, "secondary floats: %s\n", joinOrNone(p.Floats.Secondary))
+		return nil
+	}
+	for _, sb := range p.Defects {
+		fmt.Fprintf(w, "%s: %s\n", sb.Name(), sb.Description)
+	}
+	if err := report.WriteMergePrediction(w, *p.Merges); err != nil {
+		return fmt.Errorf("predict: %v", err)
+	}
+	return nil
+}
+
+// twoCellCertificates prints the two-cell coverage certificate of each
+// request (one per march test) and errors when any is unsound: a
+// statically proved miss that the simulation caught.
+func twoCellCertificates(w io.Writer, env *request.Env, qs []*request.TwoCell) error {
 	unsound := false
-	for _, t := range tests {
-		cert, err := march.TwoCellCertificateWith(eng, t, march.TwoCellCatalog(), 4, 2)
+	for _, q := range qs {
+		cert, err := request.Do[march.TwoCellCertificate](context.Background(), env, q)
 		if err != nil {
 			return fmt.Errorf("twocell: %v", err)
 		}
@@ -315,17 +302,14 @@ func twoCellCertificates(w io.Writer, name, engineName string) error {
 	return nil
 }
 
-// detectionMatrix prints the static three-valued detection matrix for
-// the named march test ("all" for the whole library) against the
-// paper's partial-fault catalog and the two-cell coupling catalog, and
-// errors when any completion-pre-pass cannot-complete claim is not
-// confirmed as a proved miss.
-func detectionMatrix(w io.Writer, name string) error {
-	tests, err := testsNamed(name)
+// detectionMatrix prints the static three-valued detection matrix and
+// errors when a completion-pre-pass cannot-complete claim is not a
+// proved miss.
+func detectionMatrix(w io.Writer, env *request.Env, q *request.Matrix) error {
+	m, err := request.Do[march.DetectionMatrix](context.Background(), env, q)
 	if err != nil {
-		return err
+		return fmt.Errorf("prove: %v", err)
 	}
-	m := march.BuildDetectionMatrix(tests, march.PaperFaultCatalog(), march.TwoCellCatalog())
 	if err := report.WriteDetectionMatrix(w, m); err != nil {
 		return fmt.Errorf("prove: %v", err)
 	}
@@ -335,67 +319,18 @@ func detectionMatrix(w io.Writer, name string) error {
 	return nil
 }
 
-// stressOpts carries the CLI knobs of the -stress mode.
-type stressOpts struct {
-	engine, marchEngine, corners, sweep string
-	rdefs, us                           []float64
-}
-
 // stressMatrix runs the stress-condition scenario matrix and prints the
 // per-corner inventories, the corner deltas against nominal and the
-// worst-corner certificate. Corner progress goes to stderr.
-func stressMatrix(stdout, stderr io.Writer, o stressOpts) error {
-	corners := stress.DefaultCorners()
-	if o.corners != "" {
-		var err error
-		corners, err = stress.ParseSpecs(o.corners)
-		if err != nil {
-			return fmt.Errorf("bad -corners: %v", err)
-		}
-	}
-	var eng march.Engine
-	switch o.marchEngine {
-	case "memsim":
-		eng = march.ScalarEngine{}
-	case "bitsim":
-		eng = bitsim.New()
-	default:
-		return fmt.Errorf("unknown -march-engine %q (want memsim or bitsim)", o.marchEngine)
-	}
-	mode, err := analysis.ParseSweepMode(o.sweep)
-	if err != nil {
-		return fmt.Errorf("bad -sweep: %v", err)
-	}
-	res, err := stress.Analyze(stress.Config{
-		Corners: corners,
-		Engine:  o.engine,
-		MarchEngine: eng,
-		RDefs:   o.rdefs, Us: o.us,
-		Sweep: mode,
-		Progress: func(line string) {
-			fmt.Fprintf(stderr, "faultmap: %s\n", line)
-		},
-	})
+// worst-corner certificate. Corner progress goes to env.Progress.
+func stressMatrix(w io.Writer, env *request.Env, q *request.Stress) error {
+	res, err := request.Do[*stress.Result](context.Background(), env, q)
 	if err != nil {
 		return fmt.Errorf("stress: %v", err)
 	}
-	if err := report.WriteStressMatrix(stdout, res); err != nil {
+	if err := report.WriteStressMatrix(w, res); err != nil {
 		return fmt.Errorf("stress: %v", err)
 	}
 	return nil
-}
-
-// testsNamed resolves a march test name, or "all" for the library.
-func testsNamed(name string) ([]march.Test, error) {
-	if name == "all" {
-		return march.All(), nil
-	}
-	for _, t := range march.All() {
-		if t.Name == name {
-			return []march.Test{t}, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown march test %q; use \"all\" or one of the library names", name)
 }
 
 func joinOrNone(nets []string) string {

@@ -15,6 +15,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,99 +24,112 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/memtest/partialfaults/internal/bitsim"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/lint"
 	"github.com/memtest/partialfaults/internal/march"
 	"github.com/memtest/partialfaults/internal/report"
+	"github.com/memtest/partialfaults/internal/request"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// options holds the parsed flags, with -geometry and -offsets applied.
+type options struct {
+	test, notation, fault, float, engine string
+	rows, cols                           int
+	offsets                              []int
+	lint, twoCell, prove                 bool
+}
+
+// errUsage reports a command line the flag set rejected (it has
+// already printed the usage).
+var errUsage = errors.New("usage")
+
+func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs := flag.NewFlagSet("marchsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		testName = fs.String("test", "", "run only the named test (default: whole library)")
-		notation = fs.String("notation", "", "march notation for a custom -test")
-		faultStr = fs.String("fault", "", "single fault primitive to evaluate (default: full catalog)")
-		floatVar = fs.String("float", "Bit line", "mediating floating voltage for a partial -fault")
-		rows     = fs.Int("rows", 4, "array rows")
-		cols     = fs.Int("cols", 2, "array columns (cells per row; same column = same bit line)")
-		geometry = fs.String("geometry", "", "array geometry as ROWSxCOLS (e.g. 1024x1024); overrides -rows/-cols")
-		engine   = fs.String("engine", "memsim", "simulation backend: memsim (scalar oracle) or bitsim (bit-plane, for megabit arrays)")
-		doLint   = fs.Bool("lint", false, "lint the tests and print the static completion pre-passes before simulating")
-		twoCell  = fs.Bool("twocell", false, "emit the two-cell coverage certificate (static pre-pass checked against the exhaustive coupling-fault simulation) instead of the single-cell matrix")
-		offsets  = fs.String("offsets", "", "with -twocell: comma-separated aggressor offsets δ (aggressor = victim + δ), e.g. 1,-1,64,-64; empty = all ordered pairs")
-		prove    = fs.Bool("prove", false, "emit the static three-valued detection matrix (proved Detects/Misses verdicts over all geometries and orders) instead of simulating")
-	)
+	o := &options{}
+	var geometry, offsets string
+	fs.StringVar(&o.test, "test", "", "run only the named test (default: whole library)")
+	fs.StringVar(&o.notation, "notation", "", "march notation for a custom -test")
+	fs.StringVar(&o.fault, "fault", "", "single fault primitive to evaluate (default: full catalog)")
+	fs.StringVar(&o.float, "float", "Bit line", "mediating floating voltage for a partial -fault")
+	fs.IntVar(&o.rows, "rows", 4, "array rows")
+	fs.IntVar(&o.cols, "cols", 2, "array columns (cells per row; same column = same bit line)")
+	fs.StringVar(&geometry, "geometry", "", "array geometry as ROWSxCOLS (e.g. 1024x1024); overrides -rows/-cols")
+	fs.StringVar(&o.engine, "engine", "memsim", "simulation backend: memsim (scalar oracle) or bitsim (bit-plane, for megabit arrays)")
+	fs.BoolVar(&o.lint, "lint", false, "lint the tests and print the static completion pre-passes before simulating")
+	fs.BoolVar(&o.twoCell, "twocell", false, "emit the two-cell coverage certificate (static pre-pass checked against the exhaustive coupling-fault simulation) instead of the single-cell matrix")
+	fs.StringVar(&offsets, "offsets", "", "with -twocell: comma-separated aggressor offsets δ (aggressor = victim + δ), e.g. 1,-1,64,-64; empty = all ordered pairs")
+	fs.BoolVar(&o.prove, "prove", false, "emit the static three-valued detection matrix (proved Detects/Misses verdicts over all geometries and orders) instead of simulating")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, errUsage
 	}
+	if geometry != "" {
+		r, c, err := parseGeometry(geometry)
+		if err != nil {
+			return nil, fmt.Errorf("bad -geometry: %v", err)
+		}
+		o.rows, o.cols = r, c
+	}
+	var err error
+	if o.offsets, err = parseOffsets(offsets); err != nil {
+		return nil, fmt.Errorf("bad -offsets: %v", err)
+	}
+	if o.offsets != nil && !o.twoCell {
+		return nil, fmt.Errorf("-offsets only applies with -twocell")
+	}
+	return o, nil
+}
+
+// twoCellRequest is the service request of a -twocell run over the
+// named library test.
+func (o *options) twoCellRequest(test string) *request.TwoCell {
+	return &request.TwoCell{Test: test, Engine: o.engine, Rows: o.rows, Cols: o.cols, Offsets: o.offsets}
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "marchsim: "+format+"\n", a...)
 		return 1
 	}
-
-	if *geometry != "" {
-		r, c, err := parseGeometry(*geometry)
-		if err != nil {
-			return fail("bad -geometry: %v", err)
-		}
-		*rows, *cols = r, c
+	o, err := parseFlags(args, stderr)
+	if err == errUsage {
+		return 2
 	}
-	deltas, err := parseOffsets(*offsets)
 	if err != nil {
-		return fail("bad -offsets: %v", err)
+		return fail("%v", err)
 	}
-	if deltas != nil && !*twoCell {
-		return fail("-offsets only applies with -twocell")
-	}
-	var eng march.Engine
-	switch *engine {
-	case "memsim":
-		eng = march.ScalarEngine{}
-	case "bitsim":
-		eng = bitsim.New()
-	default:
-		return fail("unknown -engine %q (want memsim or bitsim)", *engine)
+	eng, err := request.MarchEngine(o.engine)
+	if err != nil {
+		return fail("bad -engine: %v", err)
 	}
 
 	tests := march.All()
-	if *testName != "" {
-		if *notation != "" {
-			t, err := march.Parse(*testName, *notation)
+	if o.test != "" {
+		if o.notation != "" {
+			t, err := march.Parse(o.test, o.notation)
 			if err != nil {
 				return fail("bad -notation: %v", err)
 			}
 			tests = []march.Test{t}
-		} else {
-			var found bool
-			for _, t := range march.All() {
-				if t.Name == *testName {
-					tests = []march.Test{t}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fail("unknown test %q (and no -notation given)", *testName)
-			}
+		} else if tests, err = request.Tests([]string{o.test}); err != nil {
+			return fail("%v (and no -notation given)", err)
 		}
 	}
 
 	catalog := append(march.ClassicalFaultCatalog(), march.PaperFaultCatalog()...)
-	if *faultStr != "" {
-		p, err := fp.Parse(*faultStr)
+	if o.fault != "" {
+		p, err := fp.Parse(o.fault)
 		if err != nil {
 			return fail("bad -fault: %v", err)
 		}
 		catalog = []march.CatalogEntry{{
 			Name: p.String(), FP: p,
-			Float:   defect.FloatVar(*floatVar),
+			Float:   defect.FloatVar(o.float),
 			Partial: p.IsCompleted(),
 		}}
 	}
@@ -124,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout)
 
-	if *doLint {
+	if o.lint {
 		findings := march.LintAll(tests)
 		findings = append(findings, march.CompletionPrePass(tests, catalog)...)
 		findings = append(findings, march.TwoCellCompletionPrePass(tests, march.TwoCellCatalog())...)
@@ -138,11 +153,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *prove {
+	if o.prove {
 		// With a custom -fault the matrix brackets just that primitive;
 		// otherwise it covers the full single- and two-cell catalogs.
 		twos := march.TwoCellCatalog()
-		if *faultStr != "" {
+		if o.fault != "" {
 			twos = nil
 		}
 		m := march.BuildDetectionMatrix(tests, catalog, twos)
@@ -155,10 +170,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *twoCell {
+	if o.twoCell {
+		env, err := request.NewEnv(nil, nil, 0)
+		if err != nil {
+			return fail("%v", err)
+		}
 		unsound := false
 		for _, t := range tests {
-			cert, err := march.TwoCellCertificateOffsetsWith(eng, t, march.TwoCellCatalog(), *rows, *cols, deltas)
+			var cert march.TwoCellCertificate
+			if o.notation != "" {
+				// A custom test is not in the library the requests name.
+				cert, err = march.TwoCellCertificateOffsetsWith(eng, t, march.TwoCellCatalog(), o.rows, o.cols, o.offsets)
+			} else {
+				cert, err = request.Do[march.TwoCellCertificate](context.Background(), env, o.twoCellRequest(t.Name))
+			}
 			if err != nil {
 				return fail("twocell: %v", err)
 			}
@@ -176,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	results, err := march.CoverageMatrixWith(eng, tests, catalog, *rows, *cols)
+	results, err := march.CoverageMatrixWith(eng, tests, catalog, o.rows, o.cols)
 	if err != nil {
 		return fail("coverage: %v", err)
 	}
@@ -220,21 +245,13 @@ func parseOffsets(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
-	seen := map[int]bool{}
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		d, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return nil, fmt.Errorf("bad offset %q: %v", f, err)
 		}
-		if d == 0 {
-			return nil, fmt.Errorf("offset 0 is not a neighbour")
-		}
-		if seen[d] {
-			return nil, fmt.Errorf("duplicate offset %d", d)
-		}
-		seen[d] = true
 		out = append(out, d)
 	}
-	return out, nil
+	return out, request.CheckOffsets(out)
 }

@@ -10,79 +10,66 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"github.com/memtest/partialfaults/internal/analysis"
-	"github.com/memtest/partialfaults/internal/behav"
-	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/dram"
 	"github.com/memtest/partialfaults/internal/lint"
-	"github.com/memtest/partialfaults/internal/numeric"
 	"github.com/memtest/partialfaults/internal/report"
+	"github.com/memtest/partialfaults/internal/request"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("partialfaults", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		engine  = flag.String("engine", "behav", "simulation engine: behav (analytical) or spice (transient)")
-		opens   = flag.String("opens", "", "comma-separated open numbers (default: all simulated opens)")
-		quick   = flag.Bool("quick", false, "coarser grid for a fast run")
-		verbose = flag.Bool("v", false, "print pipeline progress")
-		doLint  = flag.Bool("lint", false, "run the static-analysis pre-flight and abort on errors")
+		engine  = fs.String("engine", "behav", "simulation engine: behav (analytical) or spice (transient)")
+		opens   = fs.String("opens", "", "comma-separated open numbers (default: all simulated opens)")
+		quick   = fs.Bool("quick", false, "coarser grid for a fast run")
+		verbose = fs.Bool("v", false, "print pipeline progress")
+		doLint  = fs.Bool("lint", false, "run the static-analysis pre-flight and abort on errors")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "partialfaults: "+format+"\n", a...)
+		return 1
+	}
+	q, err := inventoryRequest(*engine, *opens, *quick)
+	if err != nil {
+		return fail("%v", err)
+	}
 	if *doLint {
-		preflight()
-	}
-
-	var factory analysis.Factory
-	switch *engine {
-	case "behav":
-		factory = behav.NewFactory(behav.DefaultParams())
-	case "spice":
-		factory = analysis.NewSpiceFactory(dram.Default())
-	default:
-		fatalf("unknown engine %q", *engine)
-	}
-
-	cfg := analysis.InventoryConfig{
-		Factory: factory,
-		RDefs:   numeric.Logspace(1e3, 1e8, 11),
-		Us:      numeric.Linspace(0, 4.6, 8),
-	}
-	if *quick {
-		cfg.RDefs = numeric.Logspace(1e4, 1e8, 5)
-		cfg.Us = numeric.Linspace(0, 4.6, 4)
-	}
-	if *verbose {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	if *opens != "" {
-		for _, tok := range strings.Split(*opens, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				fatalf("bad -opens entry %q", tok)
-			}
-			o, ok := defect.ByID(id)
-			if !ok {
-				fatalf("unknown open %d", id)
-			}
-			cfg.Opens = append(cfg.Opens, o)
+		if err := preflight(stderr); err != nil {
+			return fail("%v", err)
 		}
 	}
-
-	rows, err := analysis.BuildInventory(cfg)
+	env, err := request.NewEnv(nil, nil, 0)
 	if err != nil {
-		fatalf("pipeline: %v", err)
+		return fail("%v", err)
 	}
-	fmt.Println("Partial faults observed in DRAM simulation (reproduction of Table 1):")
-	fmt.Println()
-	if err := report.WriteInventory(os.Stdout, rows); err != nil {
-		fatalf("report: %v", err)
+	if *verbose {
+		env.Progress = func(s string) { fmt.Fprintln(stderr, s) }
+	}
+	rows, err := request.Do[[]analysis.Row](context.Background(), env, q)
+	if err != nil {
+		return fail("pipeline: %v", err)
+	}
+	fmt.Fprintln(stdout, "Partial faults observed in DRAM simulation (reproduction of Table 1):")
+	fmt.Fprintln(stdout)
+	if err := report.WriteInventory(stdout, rows); err != nil {
+		return fail("report: %v", err)
 	}
 	possible, impossible := 0, 0
 	for _, r := range rows {
@@ -92,31 +79,47 @@ func main() {
 			impossible++
 		}
 	}
-	fmt.Printf("\n%d partial faults found; %d completed, %d not completable by memory operations\n",
+	fmt.Fprintf(stdout, "\n%d partial faults found; %d completed, %d not completable by memory operations\n",
 		len(rows), possible, impossible)
 
 	matches, exact, ffmOnly := analysis.CompareWithPaper(rows)
-	fmt.Printf("\nComparison with the paper's published Table 1 (%d exact, %d FFM-only, %d rows):\n\n",
+	fmt.Fprintf(stdout, "\nComparison with the paper's published Table 1 (%d exact, %d FFM-only, %d rows):\n\n",
 		exact, ffmOnly, len(matches))
-	fmt.Print(analysis.SummarizeComparison(matches))
+	fmt.Fprint(stdout, analysis.SummarizeComparison(matches))
+	return 0
+}
+
+// inventoryRequest builds the inventory request of the flags: the Table 1
+// grid (1 kΩ…100 MΩ × 0…4.6 V), or a coarser one with quick.
+func inventoryRequest(engine, opens string, quick bool) (*request.Inventory, error) {
+	q := &request.Inventory{Engine: engine, Grid: request.Grid{RDefMax: 1e8, RDefSteps: 11, UMax: 4.6, USteps: 8}}
+	if quick {
+		q.Grid = request.Grid{RDefMin: 1e4, RDefMax: 1e8, RDefSteps: 5, UMax: 4.6, USteps: 4}
+	}
+	if opens != "" {
+		for _, tok := range strings.Split(opens, ",") {
+			id, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil {
+				return nil, fmt.Errorf("bad -opens entry %q", tok)
+			}
+			q.Opens = append(q.Opens, id)
+		}
+	}
+	return q, nil
 }
 
 // preflight runs the static netlist, inventory and march checks and
 // aborts before the pipeline when they find an error.
-func preflight() {
+func preflight(stderr io.Writer) error {
 	findings, err := analysis.Preflight(dram.Default())
 	if err != nil {
-		fatalf("lint: %v", err)
+		return fmt.Errorf("lint: %v", err)
 	}
-	if err := report.WriteFindings(os.Stderr, findings, lint.Warning); err != nil {
-		fatalf("lint: %v", err)
+	if err := report.WriteFindings(stderr, findings, lint.Warning); err != nil {
+		return fmt.Errorf("lint: %v", err)
 	}
 	if findings.Count(lint.Error) > 0 {
-		fatalf("lint: static analysis failed; not running the pipeline")
+		return fmt.Errorf("lint: static analysis failed; not running the pipeline")
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "partialfaults: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -80,11 +80,14 @@ func TestServeHealthzAndMatrix(t *testing.T) {
 	}
 }
 
-// TestServeTracedInventory drives the traced-sweep knob end to end
-// over HTTP: a traced inventory answers, the dense spelling of the
-// same request hits its store entry byte for byte, and /v1/metrics
-// reports the traced-sweep work.
-func TestServeTracedInventory(t *testing.T) {
+// TestServeInventoryTracedKeyedApart drives the traced-sweep knob end
+// to end over HTTP: a traced inventory answers, the dense spelling of
+// the same request computes its own store entry (traced results are
+// keyed apart, since they may miss a fault region that holds no
+// sample) and agrees byte for byte on this grid, a repeated dense
+// request hits its entry, and /v1/metrics reports the traced-sweep
+// work.
+func TestServeInventoryTracedKeyedApart(t *testing.T) {
 	base := bootServer(t, "-store", t.TempDir())
 	grid := `"opens":[1],"rdefs":[1e3,1e4,1e5,1e6,1e7],"us":[0,0.66,1.32,1.98,2.64,3.3]`
 	fetch := func(body string) (bool, []byte) {
@@ -111,11 +114,14 @@ func TestServeTracedInventory(t *testing.T) {
 		t.Fatal("first traced request claims cached")
 	}
 	cached, dense := fetch(`{` + grid + `}`)
-	if !cached {
-		t.Fatal("dense request missed the traced store entry")
+	if cached {
+		t.Fatal("dense request was served the traced store entry")
 	}
 	if !bytes.Equal(traced, dense) {
-		t.Fatal("traced and dense payloads differ")
+		t.Fatal("traced and dense payloads differ on this grid")
+	}
+	if cached, _ := fetch(`{"sweep":"dense",` + grid + `}`); !cached {
+		t.Fatal("repeated dense request missed its store entry")
 	}
 
 	resp, err := http.Get(base + "/v1/metrics")

@@ -60,8 +60,8 @@ type InventoryConfig struct {
 	// Progress, when non-nil, receives one line per pipeline step.
 	Progress func(string)
 	// Sweep selects the plane-sweep strategy; the zero value is dense.
-	// Traced sweeps produce identical planes (the differential suite
-	// proves it on the catalog) with far fewer simulations.
+	// Traced sweeps run far fewer simulations and give the same planes
+	// wherever every fault region holds a sample (see RunSweep).
 	Sweep SweepMode
 	// TraceStride overrides the traced sweep's seed stride (0 = default).
 	TraceStride int

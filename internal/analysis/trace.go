@@ -119,9 +119,11 @@ func ParseSweepMode(s string) (SweepMode, error) {
 
 // RunSweep dispatches one plane sweep to the selected strategy. Traced
 // stats are folded into counters when given; stride 0 means
-// DefaultTraceStride. Both strategies produce identical planes for the
-// defect catalog (the differential suite proves it), which is what
-// lets callers treat the mode as a pure performance knob.
+// DefaultTraceStride. The traced plane equals the dense one wherever
+// every fault region holds a sample (the differential suite checks the
+// catalog at seed resolution), but on a coarse grid it can miss a
+// region no sample lands in, so callers that cache results must key the
+// two modes apart.
 func RunSweep(mode SweepMode, stride int, counters *TraceCounters, cfg SweepConfig) (*Plane, error) {
 	if mode != SweepTraced {
 		return SweepPlane(cfg)

@@ -1,41 +1,44 @@
 // Package service exposes the partial-fault analysis pipeline as a
 // long-running JSON HTTP API: Table 1 inventories, march coverage
-// matrices, two-cell certificates, the static detection matrix and the
-// net-merge prover, with request batching, singleflight de-duplication
-// of concurrent identical requests, and a disk-persistent
-// content-addressed result store shared across restarts.
+// matrices, two-cell certificates, the static detection matrix, the
+// net-merge prover and the stress matrix, with request batching,
+// singleflight de-duplication of concurrent identical requests, and a
+// disk-persistent content-addressed result store shared across
+// restarts.
 //
-// Every cacheable result is addressed by a store.Key built from the
-// model fingerprint (engine kind + netlist + technology), the
-// fault/defect catalog fingerprint, the request kind and the canonical
-// request spec — so changing the netlist, the technology or a catalog
-// silently invalidates everything it affects, and nothing else.
+// Every cacheable kind is a request type from internal/request served
+// by one generic path: decode → Normalize → Key → store/singleflight →
+// Run → report JSON. The store key is built from the model fingerprint
+// (engine kind + netlist + technology), the fault/defect catalog
+// fingerprint, the request kind and the canonical request spec — so
+// changing the netlist, the technology or a catalog silently
+// invalidates everything it affects, and nothing else.
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/analysis/store"
 	"github.com/memtest/partialfaults/internal/behav"
-	"github.com/memtest/partialfaults/internal/bitsim"
-	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/dram"
-	"github.com/memtest/partialfaults/internal/march"
-	"github.com/memtest/partialfaults/internal/netlint"
-	"github.com/memtest/partialfaults/internal/numeric"
 	"github.com/memtest/partialfaults/internal/report"
+	"github.com/memtest/partialfaults/internal/request"
 	"github.com/memtest/partialfaults/internal/stress"
 )
+
+// maxBodyBytes caps every request body. The largest body a client has
+// reason to send — a batch of explicit-grid requests — is a few KiB.
+const maxBodyBytes = 1 << 20
 
 // Config parameterizes a Server.
 type Config struct {
@@ -55,22 +58,14 @@ type Config struct {
 // Server is the analysis service. It is an http.Handler; all state is
 // safe for concurrent use.
 type Server struct {
-	mux  *http.ServeMux
-	pool *analysis.Pool
-	memo *analysis.Memo
-
-	params behav.Params
-	tech   dram.Technology
-
-	behavModel analysis.Fingerprint
-	spiceModel analysis.Fingerprint
-	catalogFP  string
+	mux   *http.ServeMux
+	env   *request.Env
+	kinds map[string]serveFunc
 
 	store  *store.Store // nil when StoreDir is empty
 	outLog *store.OutcomeLog
 
 	flights *flightGroup
-	trace   *analysis.TraceCounters
 
 	mu       sync.Mutex
 	requests map[string]uint64
@@ -83,56 +78,59 @@ type Server struct {
 	bootMemo analysis.MemoStats
 }
 
+// serveFunc answers one cacheable request body: the result payload and
+// whether it came from the store or from another caller's flight.
+type serveFunc func(ctx context.Context, body io.Reader) (payload []byte, fromStore, collapsed bool, err error)
+
 // New builds a Server, opening (or creating) the persistent store when
 // configured.
 func New(cfg Config) (*Server, error) {
-	s := &Server{
-		mux:      http.NewServeMux(),
-		pool:     analysis.NewPool(cfg.Parallelism),
-		memo:     analysis.NewMemo(),
-		params:   behav.DefaultParams(),
-		tech:     dram.Default(),
-		flights:  newFlightGroup(),
-		trace:    &analysis.TraceCounters{},
-		requests: map[string]uint64{},
-	}
-	if cfg.Params != nil {
-		s.params = *cfg.Params
-	}
-	if cfg.Tech != nil {
-		s.tech = *cfg.Tech
-		s.params.Tech = *cfg.Tech
-	}
-	s.behavModel = behav.Fingerprint(s.params)
-	spiceFP, err := analysis.SpiceFingerprint(s.tech)
+	env, err := request.NewEnv(cfg.Params, cfg.Tech, cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	s.spiceModel = spiceFP
-	s.catalogFP = catalogFingerprint()
-
+	s := &Server{
+		mux:      http.NewServeMux(),
+		env:      env,
+		flights:  newFlightGroup(),
+		requests: map[string]uint64{},
+	}
 	if cfg.StoreDir != "" {
 		st, err := store.Open(cfg.StoreDir)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.store = st
-		log, err := store.OpenOutcomeLog(filepath.Join(cfg.StoreDir, "outcomes.jsonl"), s.memo)
+		log, err := store.OpenOutcomeLog(filepath.Join(cfg.StoreDir, "outcomes.jsonl"), env.Memo)
 		if err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.outLog = log
 	}
-	s.bootMemo = s.memo.Snapshot()
+	s.bootMemo = env.Memo.Snapshot()
 
+	s.kinds = map[string]serveFunc{
+		"inventory": serve[request.Inventory](s, report.ToInventoryJSON),
+		"coverage":  serve[request.Coverage](s, report.ToCoverageJSON),
+		"twocell":   serve[request.TwoCell](s, report.ToTwoCellCertificateJSON),
+		"matrix":    serve[request.Matrix](s, report.ToDetectionMatrixJSON),
+		"predict":   serve[request.Predict](s, predictionJSON),
+		"stress":    serve[request.Stress](s, s.stressJSON),
+	}
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /v1/inventory", s.handleInventory)
-	s.mux.HandleFunc("POST /v1/coverage", s.handleCoverage)
-	s.mux.HandleFunc("POST /v1/twocell", s.handleTwoCell)
-	s.mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
-	s.mux.HandleFunc("POST /v1/predict", s.handlePredict)
-	s.mux.HandleFunc("POST /v1/stress", s.handleStress)
+	for kind := range s.kinds {
+		s.mux.HandleFunc("POST /v1/"+kind, func(w http.ResponseWriter, r *http.Request) {
+			s.countRequest(kind)
+			payload, fromStore, collapsed, err := s.kinds[kind](r.Context(), http.MaxBytesReader(w, r.Body, maxBodyBytes))
+			if err != nil {
+				writeError(w, err)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			writeResult(w, payload, fromStore, collapsed)
+		})
+	}
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	return s, nil
 }
@@ -149,45 +147,57 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// catalogFingerprint digests every fault/defect catalog the service
-// ranges over: the simulated opens, the short/bridge catalog, the march
-// test library, and the single- and two-cell fault catalogs. Any
-// catalog change invalidates every stored result that could depend on
-// it.
-func catalogFingerprint() string {
-	var parts []string
-	for _, o := range defect.SimulatedOpens() {
-		parts = append(parts, fmt.Sprintf("open:%d:%s:%v", o.ID, o.Site, o.Floats))
-	}
-	for _, sb := range defect.ShortsAndBridges() {
-		parts = append(parts, "sb:"+sb.Site)
-	}
-	for _, t := range march.All() {
-		parts = append(parts, "test:"+t.Name+":"+t.String())
-	}
-	for _, e := range march.ClassicalFaultCatalog() {
-		parts = append(parts, "single:"+e.Name)
-	}
-	for _, e := range march.PaperFaultCatalog() {
-		parts = append(parts, "paper:"+e.Name)
-	}
-	for _, e := range march.TwoCellCatalog() {
-		parts = append(parts, "two:"+e.Name)
-	}
-	return string(analysis.NewFingerprint("catalog", parts...))
+// --- the generic request path ---
+
+// kindRequest is what the generic path needs of a request type.
+type kindRequest[T, V any] interface {
+	*T
+	Normalize(*request.Env) error
+	Key(*request.Env) store.Key
+	Run(context.Context, *request.Env) (V, error)
 }
 
-// --- request plumbing ---
-
-type apiError struct {
-	status int
-	msg    string
-}
-
-func (e *apiError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &apiError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
+// serve builds the serveFunc of request type T, rendering its result
+// through view: store lookup, then singleflight on the key digest, then
+// Run + store write-through. A store hit runs only decode, Normalize,
+// Key and the lookup. The flight runs detached from ctx (see
+// flightGroup.Do), so a caller that leaves early cancels nothing its
+// followers still wait for.
+func serve[T any, P kindRequest[T, V], V, W any](s *Server, view func(V) W) serveFunc {
+	return func(ctx context.Context, body io.Reader) ([]byte, bool, bool, error) {
+		q := P(new(T))
+		if err := decode(body, q); err != nil {
+			return nil, false, false, err
+		}
+		if err := q.Normalize(s.env); err != nil {
+			return nil, false, false, err
+		}
+		key := q.Key(s.env)
+		if s.store != nil {
+			if buf, ok, err := s.store.Get(key); err != nil || ok {
+				return buf, ok, false, err
+			}
+		}
+		payload, collapsed, err := s.flights.Do(ctx, key.Digest(), func(ctx context.Context) ([]byte, error) {
+			// Re-check under the flight: a concurrent leader may have
+			// persisted the result between our miss and our takeoff.
+			if s.store != nil {
+				if buf, ok, err := s.store.Get(key); err != nil || ok {
+					return buf, err
+				}
+			}
+			v, err := q.Run(ctx, s.env)
+			if err != nil {
+				return nil, err
+			}
+			buf, err := json.Marshal(view(v))
+			if err == nil && s.store != nil {
+				err = s.store.Put(key, buf)
+			}
+			return buf, err
+		})
+		return payload, false, collapsed, err
+	}
 }
 
 func (s *Server) countRequest(kind string) {
@@ -196,87 +206,73 @@ func (s *Server) countRequest(kind string) {
 	s.mu.Unlock()
 }
 
-// cached serves one cacheable request: store lookup, then singleflight
-// on the key digest, then compute + store write-through. The returned
-// flags report whether the payload came from the persistent store and
-// whether this caller joined another's in-flight computation.
-func (s *Server) cached(key store.Key, compute func() (any, error)) (payload []byte, fromStore, collapsed bool, err error) {
-	if s.store != nil {
-		if buf, ok, err := s.store.Get(key); err != nil {
-			return nil, false, false, err
-		} else if ok {
-			return buf, true, false, nil
+func decode(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return err
 		}
+		return request.BadRequest(fmt.Sprintf("bad request body: %v", err))
 	}
-	payload, collapsed, err = s.flights.Do(key.Digest(), func() ([]byte, error) {
-		// Re-check under the flight: a concurrent leader may have
-		// persisted the result between our miss and our takeoff.
-		if s.store != nil {
-			if buf, ok, err := s.store.Get(key); err != nil {
-				return nil, err
-			} else if ok {
-				return buf, nil
-			}
-		}
-		v, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		buf, err := json.Marshal(v)
-		if err != nil {
-			return nil, err
-		}
-		if s.store != nil {
-			if err := s.store.Put(key, buf); err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
-	})
-	return payload, false, collapsed, err
+	return nil
 }
 
-// envelopeJSON wraps every cacheable response: the result payload plus
-// serving metadata (never part of the stored blob).
-func writeResult(w http.ResponseWriter, payload []byte, fromStore, collapsed bool) {
-	w.Header().Set("Content-Type", "application/json")
+// writeResult writes the envelope of every cacheable response: the
+// result payload plus serving metadata (never part of the stored blob).
+func writeResult(w io.Writer, payload []byte, fromStore, collapsed bool) {
 	fmt.Fprintf(w, `{"cached":%v,"collapsed":%v,"result":`, fromStore, collapsed)
 	w.Write(payload)
 	io.WriteString(w, "}\n")
 }
 
+func statusOf(err error) int {
+	var tooLarge *http.MaxBytesError
+	var bad request.BadRequest
+	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &bad):
+		return http.StatusBadRequest
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusInternalServerError
+}
+
 func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	var ae *apiError
-	if errors.As(err, &ae) {
-		status = ae.status
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		status = http.StatusGatewayTimeout
-	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	w.WriteHeader(statusOf(err))
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("bad request body: %v", err)
-	}
-	return nil
+// FloatPredictionJSON is the open-defect float prediction payload.
+type FloatPredictionJSON struct {
+	Open      int      `json:"open"`
+	Element   string   `json:"element"`
+	Primary   []string `json:"primary,omitempty"`
+	Secondary []string `json:"secondary,omitempty"`
+	Unknown   []string `json:"unknown,omitempty"`
 }
 
-// canonicalSpec renders a normalized request as the store-key spec.
-// json.Marshal of a struct is deterministic (fields in declaration
-// order), so equal requests produce equal specs.
-func canonicalSpec(v any) (string, error) {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return "", err
+func predictionJSON(p request.Prediction) any {
+	if p.Merges != nil {
+		return report.ToMergePredictionJSON(*p.Merges)
 	}
-	return string(buf), nil
+	return FloatPredictionJSON{
+		Open: p.Open.ID, Element: p.Element,
+		Primary: p.Floats.Primary, Secondary: p.Floats.Secondary, Unknown: p.Floats.Unknown,
+	}
+}
+
+// stressJSON renders a computed stress matrix and counts it.
+func (s *Server) stressJSON(res *stress.Result) report.StressMatrixJSON {
+	s.mu.Lock()
+	s.stressMatrices++
+	s.stressCorners += uint64(len(res.Corners))
+	s.mu.Unlock()
+	return report.ToStressJSON(res)
 }
 
 // --- health and metrics ---
@@ -302,12 +298,7 @@ type MetricsResponse struct {
 		HitRate float64 `json:"hit_rate"`
 		Entries int     `json:"entries"`
 	} `json:"memo"`
-	Store *struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-		Puts   uint64 `json:"puts"`
-		Len    int    `json:"len"`
-	} `json:"store,omitempty"`
+	Store *StoreMetrics `json:"store,omitempty"`
 	// Trace reports traced-sweep work since boot: how many planes ran
 	// in traced mode, how many grid points were simulated vs inferred
 	// without simulation, and the resulting reduction factor.
@@ -330,679 +321,40 @@ type MetricsResponse struct {
 	Catalog string `json:"catalog"`
 }
 
+// StoreMetrics is the result store's traffic since boot and its size.
+type StoreMetrics struct {
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Puts   uint64 `json:"puts"`
+	Len    int    `json:"len"`
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var resp MetricsResponse
-	resp.Requests = map[string]uint64{}
 	s.mu.Lock()
-	for k, v := range s.requests {
-		resp.Requests[k] = v
-	}
+	resp.Requests = maps.Clone(s.requests)
 	resp.Stress.Matrices = s.stressMatrices
 	resp.Stress.Corners = s.stressCorners
 	s.mu.Unlock()
 	resp.SingleflightCollapsed = s.flights.Collapsed()
-	d := s.memo.Snapshot().Delta(s.bootMemo)
+	d := s.env.Memo.Snapshot().Delta(s.bootMemo)
 	resp.Memo.Hits, resp.Memo.Misses, resp.Memo.HitRate = d.Hits, d.Misses, d.HitRate()
-	resp.Memo.Entries = s.memo.Len()
+	resp.Memo.Entries = s.env.Memo.Len()
 	if s.store != nil {
 		st := s.store.Stats()
 		n, _ := s.store.Len()
-		resp.Store = &struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-			Puts   uint64 `json:"puts"`
-			Len    int    `json:"len"`
-		}{Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Len: n}
+		resp.Store = &StoreMetrics{Hits: st.Hits, Misses: st.Misses, Puts: st.Puts, Len: n}
 	}
-	ts, planes := s.trace.Snapshot()
+	ts, planes := s.env.Trace.Snapshot()
 	resp.Trace.Planes = planes
 	resp.Trace.Simulated = ts.Simulated()
 	resp.Trace.Inferred = ts.Inferred
 	resp.Trace.Reduction = ts.Reduction()
-	resp.Models.Behav = string(s.behavModel)
-	resp.Models.Spice = string(s.spiceModel)
-	resp.Catalog = s.catalogFP
+	resp.Models.Behav = string(s.env.BehavModel)
+	resp.Models.Spice = string(s.env.SpiceModel)
+	resp.Catalog = s.env.Catalog
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// --- inventory ---
-
-// InventoryRequest asks for the Table 1 pipeline over a grid.
-type InventoryRequest struct {
-	// Engine is "behav" (default) or "spice".
-	Engine string `json:"engine,omitempty"`
-	// Opens restricts the analyzed opens by ID; empty means all
-	// simulated opens.
-	Opens []int `json:"opens,omitempty"`
-	// RDefs/Us are explicit grid axes; when empty the Min/Max/Steps
-	// triples apply (log-spaced resistances, linear voltages).
-	RDefs     []float64 `json:"rdefs,omitempty"`
-	Us        []float64 `json:"us,omitempty"`
-	RDefMin   float64   `json:"rdef_min,omitempty"`
-	RDefMax   float64   `json:"rdef_max,omitempty"`
-	RDefSteps int       `json:"rdef_steps,omitempty"`
-	UMin      float64   `json:"u_min,omitempty"`
-	UMax      float64   `json:"u_max,omitempty"`
-	USteps    int       `json:"u_steps,omitempty"`
-	// Sweep is "dense" (default) or "traced" — a pure performance
-	// knob: traced sweeps produce byte-identical planes (proven by the
-	// differential suite), so it is stripped from the store key and
-	// both modes share cached results.
-	Sweep string `json:"sweep,omitempty"`
-}
-
-// normalize validates the request and derives explicit grid axes. It
-// returns the sweep mode separately and zeroes the Sweep field along
-// with the consumed Min/Max/Steps triples, so canonicalSpec — and
-// therefore the store key — is identical for traced and dense requests
-// asking for the same result.
-func (q *InventoryRequest) normalize() (analysis.SweepMode, error) {
-	mode, err := analysis.ParseSweepMode(q.Sweep)
-	if err != nil {
-		return "", badRequest("%v", err)
-	}
-	q.Sweep = ""
-	if q.Engine == "" {
-		q.Engine = "behav"
-	}
-	if q.Engine != "behav" && q.Engine != "spice" {
-		return "", badRequest("unknown engine %q (want behav or spice)", q.Engine)
-	}
-	if len(q.RDefs) == 0 {
-		if q.RDefMin == 0 {
-			q.RDefMin = 1e3
-		}
-		if q.RDefMax == 0 {
-			q.RDefMax = 1e7
-		}
-		if q.RDefSteps == 0 {
-			q.RDefSteps = 13
-		}
-		q.RDefs = numeric.Logspace(q.RDefMin, q.RDefMax, q.RDefSteps)
-	}
-	if len(q.Us) == 0 {
-		if q.UMax == 0 {
-			q.UMax = 3.3
-		}
-		if q.USteps == 0 {
-			q.USteps = 12
-		}
-		q.Us = numeric.Linspace(q.UMin, q.UMax, q.USteps)
-	}
-	q.RDefMin, q.RDefMax, q.RDefSteps = 0, 0, 0
-	q.UMin, q.UMax, q.USteps = 0, 0, 0
-	sort.Ints(q.Opens)
-	return mode, nil
-}
-
-func (s *Server) model(engine string) analysis.Fingerprint {
-	if engine == "spice" {
-		return s.spiceModel
-	}
-	return s.behavModel
-}
-
-func (s *Server) factory(engine string) analysis.Factory {
-	if engine == "spice" {
-		return analysis.NewSpiceFactory(s.tech)
-	}
-	return behav.NewFactory(s.params)
-}
-
-func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("inventory")
-	var q InventoryRequest
-	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
-		return
-	}
-	mode, err := q.normalize()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var opens []defect.Open
-	if len(q.Opens) > 0 {
-		for _, id := range q.Opens {
-			o, ok := defect.ByID(id)
-			if !ok {
-				writeError(w, badRequest("unknown open %d", id))
-				return
-			}
-			opens = append(opens, o)
-		}
-	}
-	spec, err := canonicalSpec(&q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	key := store.Key{Model: string(s.model(q.Engine)), Catalog: s.catalogFP, Kind: "inventory", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
-		rows, err := analysis.BuildInventory(analysis.InventoryConfig{
-			Factory: s.factory(q.Engine),
-			Opens:   opens,
-			RDefs:   q.RDefs, Us: q.Us,
-			Model: s.model(q.Engine),
-			Ctx:   r.Context(),
-			Memo:  s.memo, Pool: s.pool,
-			Sweep: mode, Trace: s.trace,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return report.ToInventoryJSON(rows), nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, payload, fromStore, collapsed)
-}
-
-// --- march coverage ---
-
-// CoverageRequest asks for a coverage matrix.
-type CoverageRequest struct {
-	// Tests are march test names; empty means the whole library.
-	Tests []string `json:"tests,omitempty"`
-	// Catalog is "classical" (default) or "paper".
-	Catalog string `json:"catalog,omitempty"`
-	// Engine is "memsim" (default, scalar oracle) or "bitsim".
-	Engine string `json:"engine,omitempty"`
-	Rows   int    `json:"rows,omitempty"`
-	Cols   int    `json:"cols,omitempty"`
-}
-
-func marchEngine(name string) (march.Engine, error) {
-	switch name {
-	case "", "memsim":
-		return march.ScalarEngine{}, nil
-	case "bitsim":
-		return bitsim.New(), nil
-	}
-	return nil, badRequest("unknown march engine %q (want memsim or bitsim)", name)
-}
-
-func testsByName(names []string) ([]march.Test, error) {
-	if len(names) == 0 {
-		return march.All(), nil
-	}
-	byName := map[string]march.Test{}
-	for _, t := range march.All() {
-		byName[t.Name] = t
-	}
-	var out []march.Test
-	for _, n := range names {
-		t, ok := byName[n]
-		if !ok {
-			return nil, badRequest("unknown march test %q", n)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("coverage")
-	var q CoverageRequest
-	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
-		return
-	}
-	if q.Engine == "" {
-		q.Engine = "memsim"
-	}
-	if q.Catalog == "" {
-		q.Catalog = "classical"
-	}
-	if q.Rows == 0 {
-		q.Rows = 4
-	}
-	if q.Cols == 0 {
-		q.Cols = 2
-	}
-	eng, err := marchEngine(q.Engine)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	tests, err := testsByName(q.Tests)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var catalog []march.CatalogEntry
-	switch q.Catalog {
-	case "classical":
-		catalog = march.ClassicalFaultCatalog()
-	case "paper":
-		catalog = march.PaperFaultCatalog()
-	default:
-		writeError(w, badRequest("unknown catalog %q (want classical or paper)", q.Catalog))
-		return
-	}
-	spec, err := canonicalSpec(&q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// March-walk results depend on the discrete fault model only, not
-	// the electrical technology; key them under the engine name.
-	key := store.Key{Model: "march:" + q.Engine, Catalog: s.catalogFP, Kind: "coverage", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
-		var results []march.CoverageResult
-		var werr error
-		if err := s.pool.DoContext(r.Context(), func() {
-			results, werr = march.CoverageMatrixWith(eng, tests, catalog, q.Rows, q.Cols)
-		}); err != nil {
-			return nil, err
-		}
-		if werr != nil {
-			return nil, werr
-		}
-		return report.ToCoverageJSON(results), nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, payload, fromStore, collapsed)
-}
-
-// --- two-cell certificate ---
-
-// TwoCellRequest asks for a two-cell coverage certificate.
-type TwoCellRequest struct {
-	Test   string `json:"test"`
-	Engine string `json:"engine,omitempty"`
-	Rows   int    `json:"rows,omitempty"`
-	Cols   int    `json:"cols,omitempty"`
-	// Offsets restricts the aggressor set (aggressor = victim + δ);
-	// empty means all ordered pairs.
-	Offsets []int `json:"offsets,omitempty"`
-}
-
-func (s *Server) handleTwoCell(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("twocell")
-	var q TwoCellRequest
-	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
-		return
-	}
-	if q.Test == "" {
-		writeError(w, badRequest("missing march test name"))
-		return
-	}
-	if q.Engine == "" {
-		q.Engine = "memsim"
-	}
-	if q.Rows == 0 {
-		q.Rows = 4
-	}
-	if q.Cols == 0 {
-		q.Cols = 2
-	}
-	seen := map[int]bool{}
-	for _, d := range q.Offsets {
-		if d == 0 {
-			writeError(w, badRequest("offset 0 is not a neighbour"))
-			return
-		}
-		if seen[d] {
-			writeError(w, badRequest("duplicate offset %d", d))
-			return
-		}
-		seen[d] = true
-	}
-	eng, err := marchEngine(q.Engine)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	tests, err := testsByName([]string{q.Test})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	spec, err := canonicalSpec(&q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	key := store.Key{Model: "march:" + q.Engine, Catalog: s.catalogFP, Kind: "twocell", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
-		var cert march.TwoCellCertificate
-		var werr error
-		if err := s.pool.DoContext(r.Context(), func() {
-			cert, werr = march.TwoCellCertificateOffsetsWith(eng, tests[0], march.TwoCellCatalog(), q.Rows, q.Cols, q.Offsets)
-		}); err != nil {
-			return nil, err
-		}
-		if werr != nil {
-			return nil, werr
-		}
-		return report.ToTwoCellCertificateJSON(cert), nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, payload, fromStore, collapsed)
-}
-
-// --- static detection matrix ---
-
-// MatrixRequest asks for the three-valued static detection matrix.
-type MatrixRequest struct {
-	Tests []string `json:"tests,omitempty"`
-}
-
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("matrix")
-	var q MatrixRequest
-	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
-		return
-	}
-	tests, err := testsByName(q.Tests)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	spec, err := canonicalSpec(&q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// The prover is purely symbolic: no model, no geometry.
-	key := store.Key{Model: "prover", Catalog: s.catalogFP, Kind: "matrix", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
-		var m march.DetectionMatrix
-		if err := s.pool.DoContext(r.Context(), func() {
-			m = march.BuildDetectionMatrix(tests, march.PaperFaultCatalog(), march.TwoCellCatalog())
-		}); err != nil {
-			return nil, err
-		}
-		return report.ToDetectionMatrixJSON(m), nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, payload, fromStore, collapsed)
-}
-
-// --- merge / float prediction ---
-
-// PredictRequest asks the static net prover for a verdict: either the
-// floating-net prediction of an open, or the merge analysis of one or
-// more short/bridge defects.
-type PredictRequest struct {
-	// Open is an open ID (1-9) for a float prediction.
-	Open int `json:"open,omitempty"`
-	// Defects are short/bridge sites for a merge prediction, each
-	// optionally resistive.
-	Defects []PredictDefect `json:"defects,omitempty"`
-}
-
-// PredictDefect is one short/bridge site, optionally resistive.
-type PredictDefect struct {
-	Site string  `json:"site"`
-	Ohms float64 `json:"ohms,omitempty"`
-}
-
-// FloatPredictionJSON is the open-defect float prediction payload.
-type FloatPredictionJSON struct {
-	Open      int      `json:"open"`
-	Element   string   `json:"element"`
-	Primary   []string `json:"primary,omitempty"`
-	Secondary []string `json:"secondary,omitempty"`
-	Unknown   []string `json:"unknown,omitempty"`
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("predict")
-	var q PredictRequest
-	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
-		return
-	}
-	if (q.Open == 0) == (len(q.Defects) == 0) {
-		writeError(w, badRequest("want exactly one of open or defects"))
-		return
-	}
-	spec, err := canonicalSpec(&q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Predictions depend on the netlist graph and phase model — the
-	// electrical model fingerprint covers both.
-	key := store.Key{Model: string(s.spiceModel), Catalog: s.catalogFP, Kind: "predict", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
-		col, err := dram.NewColumn(s.tech)
-		if err != nil {
-			return nil, err
-		}
-		az := netlint.New(col.Circuit(), dram.LintModel())
-		if q.Open != 0 {
-			open, ok := defect.ByID(q.Open)
-			if !ok {
-				return nil, badRequest("unknown open %d", q.Open)
-			}
-			elem := dram.SiteElementName(open.Site)
-			pred := az.PredictFloats([]string{elem})
-			return FloatPredictionJSON{
-				Open: open.ID, Element: elem,
-				Primary: pred.Primary, Secondary: pred.Secondary, Unknown: pred.Unknown,
-			}, nil
-		}
-		catalog := map[string]defect.ShortOrBridge{}
-		for _, sb := range defect.ShortsAndBridges() {
-			catalog[sb.Site] = sb
-		}
-		var ms netlint.MergeSpec
-		for _, d := range q.Defects {
-			if _, ok := catalog[d.Site]; !ok {
-				return nil, badRequest("unknown defect site %q", d.Site)
-			}
-			ms.Elems = append(ms.Elems, netlint.MergeElem{Name: dram.SiteElementName(d.Site), Ohms: d.Ohms})
-		}
-		pred, err := az.PredictMergeSet(ms)
-		if err != nil {
-			return nil, err
-		}
-		return report.ToMergePredictionJSON(pred), nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, payload, fromStore, collapsed)
-}
-
-// --- stress matrix ---
-
-// StressRequest asks for the stress-condition scenario matrix: the
-// defect catalog swept at every operating corner, with per-corner
-// inventories and coverage, deltas against nominal, and the
-// worst-corner coverage certificate.
-type StressRequest struct {
-	// Engine is "behav" (default) or "spice".
-	Engine string `json:"engine,omitempty"`
-	// MarchEngine is "memsim" (default) or "bitsim".
-	MarchEngine string `json:"march_engine,omitempty"`
-	// Corners is a semicolon-separated corner list (built-in names or
-	// name:key=val,... derivations); empty means the built-in default
-	// corners. A nominal corner is always ensured.
-	Corners string `json:"corners,omitempty"`
-	// Tests restricts the certified march tests; empty means the whole
-	// library.
-	Tests []string `json:"tests,omitempty"`
-	// Opens restricts the analyzed opens by ID.
-	Opens []int `json:"opens,omitempty"`
-	// Grid axes, exactly as in InventoryRequest.
-	RDefs     []float64 `json:"rdefs,omitempty"`
-	Us        []float64 `json:"us,omitempty"`
-	RDefMin   float64   `json:"rdef_min,omitempty"`
-	RDefMax   float64   `json:"rdef_max,omitempty"`
-	RDefSteps int       `json:"rdef_steps,omitempty"`
-	UMin      float64   `json:"u_min,omitempty"`
-	UMax      float64   `json:"u_max,omitempty"`
-	USteps    int       `json:"u_steps,omitempty"`
-	// Rows and Cols set the coverage-simulation geometry (default 4×2).
-	Rows int `json:"rows,omitempty"`
-	Cols int `json:"cols,omitempty"`
-	// Sweep is the performance knob of InventoryRequest — stripped from
-	// the store key, since both modes produce byte-identical planes.
-	Sweep string `json:"sweep,omitempty"`
-}
-
-// normalize validates the request, derives grid axes, and rewrites
-// Corners into its canonical form (parsed, nominal ensured, re-rendered
-// via Spec.String) so equivalent corner lists share one store key.
-func (q *StressRequest) normalize() ([]stress.Spec, analysis.SweepMode, error) {
-	mode, err := analysis.ParseSweepMode(q.Sweep)
-	if err != nil {
-		return nil, "", badRequest("%v", err)
-	}
-	q.Sweep = ""
-	if q.Engine == "" {
-		q.Engine = "behav"
-	}
-	if q.Engine != "behav" && q.Engine != "spice" {
-		return nil, "", badRequest("unknown engine %q (want behav or spice)", q.Engine)
-	}
-	if q.MarchEngine == "" {
-		q.MarchEngine = "memsim"
-	}
-	corners := stress.DefaultCorners()
-	if q.Corners != "" {
-		corners, err = stress.ParseSpecs(q.Corners)
-		if err != nil {
-			return nil, "", badRequest("%v", err)
-		}
-	}
-	corners = stress.EnsureNominal(corners)
-	rendered := make([]string, len(corners))
-	for i, c := range corners {
-		rendered[i] = c.String()
-	}
-	q.Corners = strings.Join(rendered, ";")
-	if len(q.RDefs) == 0 {
-		if q.RDefMin == 0 {
-			q.RDefMin = 1e3
-		}
-		if q.RDefMax == 0 {
-			q.RDefMax = 1e7
-		}
-		if q.RDefSteps == 0 {
-			q.RDefSteps = 13
-		}
-		q.RDefs = numeric.Logspace(q.RDefMin, q.RDefMax, q.RDefSteps)
-	}
-	if len(q.Us) == 0 {
-		if q.UMax == 0 {
-			q.UMax = 3.3
-		}
-		if q.USteps == 0 {
-			q.USteps = 12
-		}
-		q.Us = numeric.Linspace(q.UMin, q.UMax, q.USteps)
-	}
-	q.RDefMin, q.RDefMax, q.RDefSteps = 0, 0, 0
-	q.UMin, q.UMax, q.USteps = 0, 0, 0
-	if q.Rows == 0 {
-		q.Rows = 4
-	}
-	if q.Cols == 0 {
-		q.Cols = 2
-	}
-	sort.Ints(q.Opens)
-	return corners, mode, nil
-}
-
-func (s *Server) handleStress(w http.ResponseWriter, r *http.Request) {
-	s.countRequest("stress")
-	var q StressRequest
-	if err := decodeBody(r.Body, &q); err != nil {
-		writeError(w, err)
-		return
-	}
-	corners, mode, err := q.normalize()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	var opens []defect.Open
-	if len(q.Opens) > 0 {
-		for _, id := range q.Opens {
-			o, ok := defect.ByID(id)
-			if !ok {
-				writeError(w, badRequest("unknown open %d", id))
-				return
-			}
-			opens = append(opens, o)
-		}
-	}
-	marchEng, err := marchEngine(q.MarchEngine)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	tests, err := testsByName(q.Tests)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Reject invalid corners before keying: a corner that cannot derive
-	// a lint-clean technology is a client error, not a cacheable result.
-	for _, c := range corners {
-		if _, derr := c.Derive(s.tech); derr != nil {
-			writeError(w, badRequest("%v", derr))
-			return
-		}
-	}
-	spec, err := canonicalSpec(&q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// The stress matrix spans derived models, but every derivation is a
-	// pure function of the base model and the corner list (in the spec) —
-	// the base fingerprint therefore still addresses the result
-	// correctly, and a base technology change invalidates every corner.
-	key := store.Key{Model: string(s.model(q.Engine)), Catalog: s.catalogFP, Kind: "stress", Spec: spec}
-	payload, fromStore, collapsed, err := s.cached(key, func() (any, error) {
-		res, err := stress.Analyze(stress.Config{
-			Corners: corners,
-			Engine:  q.Engine,
-			Params:  s.params, Tech: s.tech,
-			MarchEngine: marchEng,
-			Opens:       opens,
-			RDefs:       q.RDefs, Us: q.Us,
-			Tests: tests,
-			Rows:  q.Rows, Cols: q.Cols,
-			Pool: s.pool, Memo: s.memo,
-			Ctx:   r.Context(),
-			Sweep: mode, Trace: s.trace,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.stressMatrices++
-		s.stressCorners += uint64(len(res.Corners))
-		s.mu.Unlock()
-		return report.ToStressJSON(res), nil
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeResult(w, payload, fromStore, collapsed)
 }
 
 // --- batch ---
@@ -1023,64 +375,43 @@ type BatchItemResult struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// handleBatch runs sub-requests concurrently through the shared pool
-// and singleflight layer — identical items inside one batch collapse
-// exactly like identical concurrent requests do.
+// handleBatch runs sub-requests concurrently through the kind table,
+// the shared pool and the singleflight layer — identical items inside
+// one batch collapse exactly like identical concurrent requests do.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.countRequest("batch")
 	var q struct {
 		Requests []BatchItem `json:"requests"`
 	}
-	if err := decodeBody(r.Body, &q); err != nil {
+	if err := decode(http.MaxBytesReader(w, r.Body, maxBodyBytes), &q); err != nil {
 		writeError(w, err)
 		return
 	}
 	if len(q.Requests) == 0 {
-		writeError(w, badRequest("empty batch"))
+		writeError(w, request.BadRequest("empty batch"))
 		return
-	}
-	handlers := map[string]http.HandlerFunc{
-		"inventory": s.handleInventory,
-		"coverage":  s.handleCoverage,
-		"twocell":   s.handleTwoCell,
-		"matrix":    s.handleMatrix,
-		"predict":   s.handlePredict,
-		"stress":    s.handleStress,
 	}
 	results := make([]BatchItemResult, len(q.Requests))
 	var wg sync.WaitGroup
 	for i, item := range q.Requests {
-		h, ok := handlers[item.Kind]
-		if !ok {
+		if s.kinds[item.Kind] == nil {
 			results[i] = BatchItemResult{Kind: item.Kind, Status: http.StatusBadRequest,
 				Error: fmt.Sprintf("unknown batch kind %q", item.Kind)}
 			continue
 		}
 		wg.Add(1)
-		go func(i int, item BatchItem, h http.HandlerFunc) {
+		go func(i int, item BatchItem) {
 			defer wg.Done()
-			rec := newRecorder()
-			sub, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/"+item.Kind, bytesReader(item.Body))
+			s.countRequest(item.Kind)
+			payload, fromStore, collapsed, err := s.kinds[item.Kind](r.Context(), bytes.NewReader(item.Body))
 			if err != nil {
-				results[i] = BatchItemResult{Kind: item.Kind, Status: http.StatusInternalServerError, Error: err.Error()}
+				results[i] = BatchItemResult{Kind: item.Kind, Status: statusOf(err), Error: err.Error()}
 				return
 			}
-			h(rec, sub)
-			res := BatchItemResult{Kind: item.Kind, Status: rec.status}
-			if rec.status == http.StatusOK {
-				res.Body = json.RawMessage(rec.buf)
-			} else {
-				var e struct {
-					Error string `json:"error"`
-				}
-				if json.Unmarshal(rec.buf, &e) == nil && e.Error != "" {
-					res.Error = e.Error
-				} else {
-					res.Error = string(rec.buf)
-				}
-			}
-			results[i] = res
-		}(i, item, h)
+			var body bytes.Buffer
+			writeResult(&body, payload, fromStore, collapsed)
+			results[i] = BatchItemResult{Kind: item.Kind, Status: http.StatusOK, Body: body.Bytes()}
+		}(i, item)
 	}
 	wg.Wait()
 	w.Header().Set("Content-Type", "application/json")

@@ -1,6 +1,9 @@
 package service
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 // flightGroup collapses concurrent duplicate work: while one caller
 // computes the value for a key, later callers with the same key block
@@ -15,38 +18,62 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	val  []byte
-	err  error
+	done    chan struct{}
+	val     []byte
+	err     error
+	waiters int
+	cancel  context.CancelFunc
 }
 
 func newFlightGroup() *flightGroup {
 	return &flightGroup{calls: map[string]*flightCall{}}
 }
 
-// Do runs fn once per key at a time. The boolean reports whether this
-// caller shared another caller's in-flight result (true) or computed it
-// (false). Results are not cached beyond the flight: once the leader
-// returns, the key is free again — persistent reuse is the store's job.
-func (g *flightGroup) Do(key string, fn func() ([]byte, error)) ([]byte, bool, error) {
+// Do runs fn once per key at a time, detached from every caller's
+// context: each caller waits on its own ctx and may leave early, and
+// fn's context is cancelled only when the last waiter has left. The
+// boolean reports whether this caller joined another's flight. Results
+// are not cached beyond the flight — persistent reuse is the store's
+// job.
+func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, bool, error) {
 	g.mu.Lock()
-	if c, inFlight := g.calls[key]; inFlight {
+	c, joined := g.calls[key]
+	if joined {
 		g.collapsed++
-		g.mu.Unlock()
-		<-c.done
-		return c.val, true, c.err
+	} else {
+		fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+		c = &flightCall{done: make(chan struct{}), cancel: cancel}
+		g.calls[key] = c
+		go func() {
+			c.val, c.err = fn(fctx)
+			cancel()
+			g.mu.Lock()
+			if g.calls[key] == c { // not yet replaced by a newer flight
+				delete(g.calls, key)
+			}
+			g.mu.Unlock()
+			close(c.done)
+		}()
 	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
+	c.waiters++
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-	return c.val, false, c.err
+	select {
+	case <-c.done:
+		return c.val, joined, c.err
+	case <-ctx.Done():
+		g.mu.Lock()
+		if c.waiters--; c.waiters == 0 {
+			// Nobody wants the result any more: stop the computation and
+			// let the next caller start a fresh flight.
+			c.cancel()
+			if g.calls[key] == c {
+				delete(g.calls, key)
+			}
+		}
+		g.mu.Unlock()
+		return nil, joined, ctx.Err()
+	}
 }
 
 // Collapsed reports how many calls joined another caller's flight.
