@@ -10,11 +10,11 @@ import (
 
 // BenchmarkStressMatrix measures the stress-condition scenario matrix
 // end to end: three operating corners (nominal, low-vdd, hot) swept
-// over a reduced grid through the shared pooled/memoized pipeline,
-// per-corner coverage simulated, deltas and the worst-corner
-// certificate assembled. One iteration is one full matrix with a cold
-// memo — the realistic first-request cost; repeated requests are the
-// store layer's business, measured by BenchmarkServeLoad. Metrics:
+// over a reduced grid through the shared pooled pipeline, per-corner
+// coverage simulated, deltas and the worst-corner certificate
+// assembled. One iteration is one full matrix computed from scratch —
+// the realistic first-request cost; repeated requests are the store
+// layer's business, measured by BenchmarkServeLoad. Metrics:
 // corners per second and certificate claims evaluated per iteration.
 func BenchmarkStressMatrix(b *testing.B) {
 	lowVDD, err := stress.ParseSpec("low-vdd")

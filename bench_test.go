@@ -602,8 +602,7 @@ func BenchmarkMarchTestExecution(b *testing.B) {
 // prefix-sharing state SOS 1, on a compact grid. The naive variant
 // builds a fresh column per point; the pooled variant recycles columns
 // through the reuse pool and serves shared prefixes from the replay
-// tree and repeated points from the outcome memo — the configuration
-// BuildInventory uses. The equivalence tests prove both produce
+// tree — the configuration BuildInventory uses. The equivalence tests prove both produce
 // bit-for-bit identical planes.
 func spiceSweepBench(b *testing.B, pooled bool) {
 	o, _ := defect.ByID(4)
@@ -621,17 +620,15 @@ func spiceSweepBench(b *testing.B, pooled bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var memo *analysis.Memo
 		var replay *analysis.ReplayCache
 		if pooled {
-			memo = analysis.NewMemo()
 			replay = analysis.NewReplayCache(factory, o, grp.Nets)
 		}
 		for _, sos := range soses {
 			plane, err := analysis.SweepPlane(analysis.SweepConfig{
 				Factory: factory, Open: o, Float: grp, SOS: sos,
 				RDefs: rdefs, Us: us,
-				Memo: memo, Replay: replay,
+				Replay: replay,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -653,6 +650,6 @@ func spiceSweepBench(b *testing.B, pooled bool) {
 // BenchmarkSpicePlaneSweepNaive is the fresh-build-per-point baseline.
 func BenchmarkSpicePlaneSweepNaive(b *testing.B) { spiceSweepBench(b, false) }
 
-// BenchmarkSpicePlaneSweepPooled is the pooled + memoized + replayed
-// sweep (the BuildInventory configuration).
+// BenchmarkSpicePlaneSweepPooled is the pooled + replayed sweep (the
+// BuildInventory configuration).
 func BenchmarkSpicePlaneSweepPooled(b *testing.B) { spiceSweepBench(b, true) }

@@ -203,7 +203,7 @@ func faultMap(stdout, stderr io.Writer, env *request.Env, o *options) error {
 		}
 		group = g
 	}
-	factory, _, err := env.Factory(o.engine)
+	factory, err := env.Factory(o.engine)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,10 @@
 // inventories, march coverage matrices, two-cell certificates, the
 // static detection matrix and the net-merge prover — with singleflight
 // de-duplication of concurrent identical requests and an optional
-// disk-persistent content-addressed result store.
+// disk-persistent content-addressed result store (one JSON file per
+// result; an outcomes.jsonl left by older builds is ignored). On SIGINT
+// or SIGTERM it stops accepting connections and drains in-flight
+// requests before exiting.
 //
 // Usage:
 //
@@ -13,7 +16,7 @@
 // Endpoints (POST JSON unless noted):
 //
 //	GET  /v1/healthz    liveness
-//	GET  /v1/metrics    request/cache/singleflight/traced-sweep counters
+//	GET  /v1/metrics    request/store/singleflight/traced-sweep/stress counters
 //	POST /v1/inventory  {"engine":"behav|spice","sweep":"dense|traced","opens":[..],"rdefs":[..],"us":[..]}
 //	POST /v1/coverage   {"tests":[..],"catalog":"classical|paper","engine":"memsim|bitsim"}
 //	POST /v1/twocell    {"test":"MATS+","offsets":[1,-1],"rows":4,"cols":4}
@@ -24,24 +27,41 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"github.com/memtest/partialfaults/internal/service"
 )
 
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so idle connections cannot pin the server.
+	readHeaderTimeout = 10 * time.Second
+	// drainTimeout bounds how long shutdown waits for in-flight
+	// requests.
+	drainTimeout = time.Minute
+)
+
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr, nil)
+	stop()
+	os.Exit(code)
 }
 
-// run builds the server and serves until the listener fails. When ready
-// is non-nil it receives the bound address once the listener is up —
-// tests pass ":0" and read the real port from it.
-func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
+// run builds the server and serves until ctx is cancelled, then drains
+// in-flight requests and returns 0; a listener failure returns 1. When
+// ready is non-nil it receives the bound address once the listener is
+// up — tests pass ":0" and read the real port from it.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("pfserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -69,8 +89,19 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
-	if err := http.Serve(ln, srv); err != nil {
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
 		fmt.Fprintf(stderr, "pfserve: %v\n", err)
+		return 1
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.WithoutCancel(ctx), drainTimeout)
+	defer cancel()
+	if err := hs.Shutdown(drain); err != nil {
+		fmt.Fprintf(stderr, "pfserve: shutdown: %v\n", err)
 		return 1
 	}
 	return 0

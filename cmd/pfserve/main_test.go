@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -12,19 +14,32 @@ import (
 )
 
 // bootServer starts pfserve on an ephemeral port and returns its base
-// URL. The serve goroutine dies with the test process; the OS reclaims
-// the listener.
+// URL. Cleanup stops the server and waits for run to return.
 func bootServer(t *testing.T, extra ...string) string {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	base, done := startServer(t, ctx, extra...)
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return base
+}
+
+// startServer runs pfserve under ctx on an ephemeral port and returns
+// its base URL and a channel that receives run's exit code.
+func startServer(t *testing.T, ctx context.Context, extra ...string) (string, <-chan int) {
+	t.Helper()
 	ready := make(chan string, 1)
+	done := make(chan int, 1)
 	args := append([]string{"-addr", "127.0.0.1:0"}, extra...)
-	go run(args, io_Discard{}, io_Discard{}, ready)
+	go func() { done <- run(ctx, args, io_Discard{}, io_Discard{}, ready) }()
 	select {
 	case addr := <-ready:
-		return "http://" + addr
+		return "http://" + addr, done
 	case <-time.After(10 * time.Second):
 		t.Fatal("server did not come up")
-		return ""
+		return "", nil
 	}
 }
 
@@ -34,7 +49,7 @@ func (io_Discard) Write(p []byte) (int, error) { return len(p), nil }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run([]string{"-no-such-flag"}, &out, &errw, nil); code != 2 {
+	if code := run(context.Background(), []string{"-no-such-flag"}, &out, &errw, nil); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(errw.String(), "flag") {
@@ -44,7 +59,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 func TestRunRejectsBadAddr(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := run([]string{"-addr", "999.999.999.999:1"}, &out, &errw, nil); code != 1 {
+	if code := run(context.Background(), []string{"-addr", "999.999.999.999:1"}, &out, &errw, nil); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
 	}
 }
@@ -292,4 +307,74 @@ func TestConcurrentDuplicatesCollapse(t *testing.T) {
 	if m.SingleflightCollapsed == 0 {
 		t.Fatal("no requests collapsed — singleflight did not engage")
 	}
+}
+
+// TestShutdownDrainsInFlight cancels run's context while a request is
+// in flight: the request still gets its 200 and run returns 0.
+func TestShutdownDrainsInFlight(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base, done := startServer(t, ctx, "-parallel", "1")
+	type reply struct {
+		status int
+		err    error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		// A spice-engine sweep: slow enough to still be running when
+		// the context is cancelled.
+		resp, err := http.Post(base+"/v1/inventory", "application/json",
+			strings.NewReader(`{"engine":"spice","opens":[4],"rdefs":[1e4,1e6],"us":[0,3.3]}`))
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		_, err = io.Copy(io.Discard, resp.Body)
+		replied <- reply{status: resp.StatusCode, err: err}
+	}()
+	waitInFlight(t, base, "inventory")
+	cancel()
+	r := <-replied
+	if r.err != nil || r.status != http.StatusOK {
+		t.Fatalf("in-flight request: status %d, err %v", r.status, r.err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("run returned %d after cancel, want 0", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after its context was cancelled")
+	}
+	if resp, err := http.Get(base + "/v1/healthz"); err == nil {
+		resp.Body.Close()
+		t.Fatal("server still accepts requests after run returned")
+	}
+}
+
+// waitInFlight polls /v1/metrics until the server has accepted one
+// request of the kind.
+func waitInFlight(t *testing.T, base, kind string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		resp, err := http.Get(base + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Requests map[string]uint64 `json:"requests"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Requests[kind] > 0 {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("no %s request reached the server", kind)
 }

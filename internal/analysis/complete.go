@@ -30,20 +30,14 @@ type CompletionConfig struct {
 	// MaxOps bounds the completing-prefix length (default 3).
 	MaxOps int
 
-	// Model fingerprints the Factory for memo keying; see
-	// SweepConfig.Model.
-	Model Fingerprint
 	// Ctx, when non-nil, cancels the search between probe simulations.
 	Ctx context.Context
 
-	// Memo, when non-nil, reuses outcomes already simulated (e.g. by the
-	// sweep that found the partial fault). Must be Factory-consistent —
-	// or keyed by Model when shared wider.
-	Memo *Memo
 	// Replay, when non-nil, shares simulation prefixes between the
-	// candidate sequences — the search's candidates differ only in their
-	// tails, so nearly all re-simulation collapses into tree walks. Must
-	// have been built for this search's Factory, Open and Float.Nets.
+	// candidate sequences and with the sweep that found the partial
+	// fault — the search's candidates differ only in their tails, so
+	// nearly all re-simulation collapses into tree walks. Must have been
+	// built for this search's Factory, Open and Float.Nets.
 	Replay *ReplayCache
 	// Pool, when non-nil, gates each probe simulation on the shared
 	// pipeline pool so completion searches running alongside sweeps keep
@@ -126,7 +120,7 @@ func completedEverywhere(cfg CompletionConfig, cand fp.SOS, base fp.FP) (bool, e
 			var out Outcome
 			var err error
 			run := func() {
-				out, err = evalSOS(cfg.Model, cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Memo, cfg.Replay)
+				out, err = evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Replay)
 			}
 			if cfg.Pool != nil {
 				if perr := cfg.Pool.DoContext(cfg.Ctx, run); perr != nil {

@@ -62,12 +62,11 @@ func TestSweepPlaneFailingFactoryReturnsError(t *testing.T) {
 
 // sweepBoth runs the same sweep twice — once naively (fresh build per
 // point, no caches) and once through the full performance layer (pool,
-// memo, replay or pooled factory) — and requires bit-for-bit identical
+// replay or pooled factory) — and requires bit-for-bit identical
 // planes. Outcomes feed golden tables, so "close" is not enough.
 func sweepBoth(t *testing.T, naive, fast analysis.Factory, open defect.Open, soses []fp.SOS, rdefs, us []float64) {
 	t.Helper()
 	group := open.Floats[0]
-	memo := analysis.NewMemo()
 	pool := analysis.NewPool(4)
 	replay := analysis.NewReplayCache(fast, open, group.Nets)
 	defer replay.Close()
@@ -82,30 +81,31 @@ func sweepBoth(t *testing.T, naive, fast analysis.Factory, open defect.Open, sos
 		cached, err := analysis.SweepPlane(analysis.SweepConfig{
 			Factory: fast, Open: open, Float: group, SOS: sos,
 			RDefs: rdefs, Us: us,
-			Memo: memo, Replay: replay, Pool: pool,
+			Replay: replay, Pool: pool,
 		})
 		if err != nil {
 			t.Fatalf("cached sweep %q: %v", sos, err)
 		}
 		if !reflect.DeepEqual(plain.Points, cached.Points) {
-			t.Fatalf("sweep %q: pooled/memoized plane differs from fresh-build plane\nnaive:  %+v\ncached: %+v", sos, plain.Points, cached.Points)
+			t.Fatalf("sweep %q: pooled/replayed plane differs from fresh-build plane\nnaive:  %+v\ncached: %+v", sos, plain.Points, cached.Points)
 		}
-		// A second cached pass must be served from the memo and stay
-		// identical.
+		// A second cached pass must be served entirely from the replay
+		// tree — no new simulated step — and stay identical.
+		simBefore, _ := replay.Stats()
 		again, err := analysis.SweepPlane(analysis.SweepConfig{
 			Factory: fast, Open: open, Float: group, SOS: sos,
 			RDefs: rdefs, Us: us,
-			Memo: memo, Replay: replay, Pool: pool,
+			Replay: replay, Pool: pool,
 		})
 		if err != nil {
-			t.Fatalf("memoized sweep %q: %v", sos, err)
+			t.Fatalf("replayed sweep %q: %v", sos, err)
 		}
 		if !reflect.DeepEqual(plain.Points, again.Points) {
-			t.Fatalf("sweep %q: memoized re-sweep differs from fresh-build plane", sos)
+			t.Fatalf("sweep %q: replayed re-sweep differs from fresh-build plane", sos)
 		}
-	}
-	if hits, _ := memo.Stats(); hits == 0 {
-		t.Fatal("memo recorded no hits; the re-sweep did not exercise the cache")
+		if sim, _ := replay.Stats(); sim != simBefore {
+			t.Fatalf("sweep %q: re-sweep simulated %d new steps; it must be served from the replay tree", sos, sim-simBefore)
+		}
 	}
 	if _, replayed := replay.Stats(); replayed == 0 {
 		t.Fatal("replay cache served no steps; the sweeps did not exercise the prefix tree")

@@ -15,9 +15,9 @@ import (
 // change its outcomes: the model kind (electrical "spice" versus
 // analytical "behav"), the netlist topology, and every technology or
 // tuning parameter. Two Factories with equal fingerprints produce
-// identical Outcomes for identical OutcomeKeys; two Factories with
-// different fingerprints must never share memo entries — the key embeds
-// the fingerprint, so they cannot.
+// identical Outcomes for identical inputs, so a cached result keyed on
+// the fingerprint (the service's result store, the stress matrix's
+// per-corner identity) can never be served across models.
 //
 // The rendered form is "kind:digest" so diagnostics show the
 // electrical-vs-analytical distinction at a glance.
@@ -77,9 +77,9 @@ func TechnologyFingerprint(t dram.Technology) string {
 }
 
 // SpiceFingerprint fingerprints the electrical model for a technology:
-// the as-built column netlist plus the full technology encoding. Use it
-// as the Model of sweeps driven by NewSpiceFactory or
-// NewPooledSpiceFactory over the same technology.
+// the as-built column netlist plus the full technology encoding. It
+// identifies NewSpiceFactory and NewPooledSpiceFactory over the same
+// technology.
 func SpiceFingerprint(tech dram.Technology) (Fingerprint, error) {
 	col, err := dram.NewColumn(tech)
 	if err != nil {

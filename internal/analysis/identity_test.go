@@ -24,166 +24,6 @@ func identityOpen(t *testing.T) (defect.Open, defect.FloatGroup) {
 	return defect.Open{}, defect.FloatGroup{}
 }
 
-// TestOutcomeKeyEmbedsModelIdentity is the direct regression test for
-// the cache-identity bug: before the Model field, the keys of two
-// different factories (electrical vs analytical, or the same model
-// under different technologies) for the same (open, R_def, nets, U,
-// SOS) were equal, so a shared memo served one model's outcome to the
-// other. With the fingerprint in the key they must differ.
-func TestOutcomeKeyEmbedsModelIdentity(t *testing.T) {
-	open, group := identityOpen(t)
-	sos := fp.NewSOS(fp.Init1, fp.R(1))
-
-	params := behav.DefaultParams()
-	changed := params
-	changed.Tech.VDD *= 1.1
-
-	base := analysis.NewOutcomeKey(behav.Fingerprint(params), open, 1e5, group.Nets, 1.0, sos)
-	retuned := analysis.NewOutcomeKey(behav.Fingerprint(changed), open, 1e5, group.Nets, 1.0, sos)
-	if base == retuned {
-		t.Fatal("technology change did not change the outcome key")
-	}
-
-	spiceFP, err := analysis.SpiceFingerprint(params.Tech)
-	if err != nil {
-		t.Fatal(err)
-	}
-	electrical := analysis.NewOutcomeKey(spiceFP, open, 1e5, group.Nets, 1.0, sos)
-	if electrical == base {
-		t.Fatal("electrical and analytical models share an outcome key")
-	}
-	if spiceFP.Kind() != "spice" || behav.Fingerprint(params).Kind() != "behav" {
-		t.Fatalf("model kinds not explicit: %q vs %q", spiceFP.Kind(), behav.Fingerprint(params).Kind())
-	}
-
-	// Same inputs, same model: keys must still collide (that's the hit).
-	again := analysis.NewOutcomeKey(behav.Fingerprint(params), open, 1e5, group.Nets, 1.0, sos)
-	if base != again {
-		t.Fatal("identical inputs no longer share a key")
-	}
-}
-
-// TestSharedMemoAcrossFactories runs the poisoning scenario end to end:
-// two differently-tuned analytical factories share one memo. The second
-// sweep must be bit-identical to a fresh memo-free run — i.e. it must
-// not consume any of the first factory's cached outcomes.
-func TestSharedMemoAcrossFactories(t *testing.T) {
-	open, group := identityOpen(t)
-	sos := fp.NewSOS(fp.Init1, fp.R(1))
-	rdefs := []float64{3e4, 1e5, 1e6, 1e7}
-	us := []float64{0, 1.0, 2.0, 2.3}
-
-	params := behav.DefaultParams()
-	retuned := params
-	retuned.Tech.VDD *= 1.15 // shifts sense thresholds → different outcomes
-
-	shared := analysis.NewMemo()
-	sweep := func(p behav.Params, memo *analysis.Memo) *analysis.Plane {
-		t.Helper()
-		plane, err := analysis.SweepPlane(analysis.SweepConfig{
-			Factory: behav.NewFactory(p),
-			Open:    open, Float: group, SOS: sos,
-			RDefs: rdefs, Us: us,
-			Model: behav.Fingerprint(p),
-			Memo:  memo,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return plane
-	}
-
-	sweep(params, shared) // fills the shared memo with model-A outcomes
-	preB := shared.Snapshot()
-	viaShared := sweep(retuned, shared)
-	if d := shared.Snapshot().Delta(preB); d.Hits != 0 {
-		t.Fatalf("retuned factory hit %d of the other model's cached outcomes", d.Hits)
-	}
-	fresh := sweep(retuned, analysis.NewMemo())
-	for i := range fresh.Points {
-		for j := range fresh.Points[i] {
-			a, b := fresh.Points[i][j], viaShared.Points[i][j]
-			if a.Faulty != b.Faulty || a.FFM != b.FFM || a.FP.String() != b.FP.String() {
-				t.Fatalf("shared-memo point (%d,%d) = %+v, fresh = %+v", i, j, b, a)
-			}
-		}
-	}
-
-	// And the same model re-swept must be served entirely from cache.
-	preRepeat := shared.Snapshot()
-	sweep(params, shared)
-	if d := shared.Snapshot().Delta(preRepeat); d.Misses != 0 {
-		t.Fatalf("identical re-sweep missed %d times", d.Misses)
-	}
-}
-
-func TestMemoSnapshotDelta(t *testing.T) {
-	memo := analysis.NewMemo()
-	open, group := identityOpen(t)
-	k1 := analysis.NewOutcomeKey("m:1", open, 1e5, group.Nets, 0, fp.NewSOS(fp.Init0))
-	k2 := analysis.NewOutcomeKey("m:1", open, 1e5, group.Nets, 1, fp.NewSOS(fp.Init0))
-
-	memo.Lookup(k1) // miss
-	memo.Store(k1, analysis.Outcome{F: 0})
-	memo.Lookup(k1) // hit
-	phase1 := memo.Snapshot()
-	if phase1.Hits != 1 || phase1.Misses != 1 {
-		t.Fatalf("phase1 = %+v", phase1)
-	}
-
-	memo.Lookup(k1) // hit
-	memo.Lookup(k2) // miss
-	memo.Lookup(k2) // miss
-	d := memo.Snapshot().Delta(phase1)
-	if d.Hits != 1 || d.Misses != 2 {
-		t.Fatalf("phase2 delta = %+v, want 1 hit / 2 misses", d)
-	}
-	if d.Total() != 3 {
-		t.Fatalf("delta total = %d", d.Total())
-	}
-	if got := d.HitRate(); got < 0.33 || got > 0.34 {
-		t.Fatalf("delta hit rate = %g", got)
-	}
-	if (analysis.MemoStats{}).HitRate() != 0 {
-		t.Fatal("empty reading hit rate not 0")
-	}
-
-	// The cumulative counters keep the old double-counting shape for
-	// callers that want totals; the delta is what per-phase reporting
-	// must use.
-	if cum := memo.Snapshot(); cum.Hits != 2 || cum.Misses != 3 {
-		t.Fatalf("cumulative = %+v", cum)
-	}
-}
-
-func TestMemoPreloadAndJournal(t *testing.T) {
-	memo := analysis.NewMemo()
-	open, group := identityOpen(t)
-	k1 := analysis.NewOutcomeKey("m:1", open, 1e5, group.Nets, 0, fp.NewSOS(fp.Init0))
-	k2 := analysis.NewOutcomeKey("m:1", open, 1e5, group.Nets, 1, fp.NewSOS(fp.Init0))
-
-	var journaled []analysis.OutcomeKey
-	memo.Journal(func(k analysis.OutcomeKey, _ analysis.Outcome) {
-		journaled = append(journaled, k)
-	})
-	memo.Preload(k1, analysis.Outcome{F: 1})
-	if len(journaled) != 0 {
-		t.Fatal("Preload journaled")
-	}
-	if st := memo.Snapshot(); st.Total() != 0 {
-		t.Fatal("Preload moved the lookup counters")
-	}
-	if out, ok := memo.Lookup(k1); !ok || out.F != 1 {
-		t.Fatalf("preloaded entry not served: ok=%v out=%+v", ok, out)
-	}
-	memo.Store(k2, analysis.Outcome{F: 0})
-	memo.Store(k2, analysis.Outcome{F: 0}) // idempotent re-store: no re-journal
-	memo.Store(k1, analysis.Outcome{F: 1}) // already preloaded: no journal
-	if len(journaled) != 1 || journaled[0] != k2 {
-		t.Fatalf("journal saw %v, want exactly [k2]", journaled)
-	}
-}
-
 func TestPoolDoContext(t *testing.T) {
 	pool := analysis.NewPool(1)
 
@@ -268,10 +108,10 @@ func TestBuildInventoryCancellation(t *testing.T) {
 	}
 }
 
-// TestBuildInventoryInjectedMemoPool: the service-style configuration —
-// shared memo, shared pool, model fingerprint — must produce the same
-// inventory as the self-contained pipeline.
-func TestBuildInventoryInjectedMemoPool(t *testing.T) {
+// TestBuildInventoryInjectedPool: the service-style configuration —
+// a shared pool and a context — must produce the same inventory as the
+// self-contained pipeline.
+func TestBuildInventoryInjectedPool(t *testing.T) {
 	params := behav.DefaultParams()
 	opens := defect.SimulatedOpens()[:2]
 	grid := analysis.InventoryConfig{
@@ -285,10 +125,7 @@ func TestBuildInventoryInjectedMemoPool(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	memo := analysis.NewMemo()
 	injected := grid
-	injected.Model = behav.Fingerprint(params)
-	injected.Memo = memo
 	injected.Pool = analysis.NewPool(2)
 	injected.Ctx = context.Background()
 	got, err := analysis.BuildInventory(injected)
@@ -304,17 +141,5 @@ func TestBuildInventoryInjectedMemoPool(t *testing.T) {
 			a.CompletedString() != b.CompletedString() {
 			t.Fatalf("row %d differs: %+v vs %+v", i, a, b)
 		}
-	}
-	if memo.Len() == 0 {
-		t.Fatal("injected memo unused")
-	}
-
-	// Re-running against the warmed shared memo must be all hits.
-	pre := memo.Snapshot()
-	if _, err := analysis.BuildInventory(injected); err != nil {
-		t.Fatal(err)
-	}
-	if d := memo.Snapshot().Delta(pre); d.Misses != 0 {
-		t.Fatalf("warm re-run missed %d times", d.Misses)
 	}
 }

@@ -69,16 +69,9 @@ type InventoryConfig struct {
 	// all the pipeline's plane sweeps.
 	Trace *TraceCounters
 
-	// Model fingerprints the Factory for memo keying; required when Memo
-	// is shared across factories or persisted.
-	Model Fingerprint
 	// Ctx, when non-nil, cancels the pipeline: in-flight units abort at
 	// their next simulation and the context error is returned.
 	Ctx context.Context
-	// Memo, when non-nil, replaces the pipeline-private outcome memo —
-	// the service shares one (fingerprint-keyed, optionally persistent)
-	// memo across requests.
-	Memo *Memo
 	// Pool, when non-nil, replaces the pipeline-private worker pool so
 	// concurrent pipelines share one concurrency bound.
 	Pool *Pool
@@ -108,10 +101,10 @@ func StaticSOSes() []fp.SOS {
 // sharing one bounded worker pool so total simulation concurrency stays
 // at cfg.Parallelism regardless of unit count. Within a unit the SOSes
 // run in order (the first-FFM-wins dedup depends on it), backed by a
-// unit-scoped replay cache — which also serves the unit's completion
-// searches and is released when the unit finishes — and a pipeline-wide
-// outcome memo. Rows are assembled in deterministic unit order, so the
-// result is identical to the sequential pipeline's.
+// unit-scoped replay cache, which also serves the unit's completion
+// searches and is released when the unit finishes. Rows are assembled
+// in deterministic unit order, so the result is identical to the
+// sequential pipeline's.
 func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 	opens := cfg.Opens
 	if opens == nil {
@@ -151,10 +144,6 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 	if pool == nil {
 		pool = NewPool(cfg.Parallelism)
 	}
-	memo := cfg.Memo
-	if memo == nil {
-		memo = NewMemo()
-	}
 	unitRows := make([][]Row, len(units))
 	unitErrs := make([]error, len(units))
 	var wg sync.WaitGroup
@@ -169,8 +158,7 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 				plane, err := RunSweep(cfg.Sweep, cfg.TraceStride, cfg.Trace, SweepConfig{
 					Factory: cfg.Factory, Open: open, Float: group, SOS: sos,
 					RDefs: cfg.RDefs, Us: cfg.Us,
-					Model: cfg.Model, Ctx: cfg.Ctx,
-					Memo: memo, Replay: replay, Pool: pool,
+					Ctx: cfg.Ctx, Replay: replay, Pool: pool,
 				})
 				if err != nil {
 					unitErrs[ui] = fmt.Errorf("analysis: %s %s sweep %q: %w", open.Name(), group.Var, sos, err)
@@ -187,8 +175,7 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 						Factory: cfg.Factory, Open: open, Float: group,
 						Base:  finding.Example.Base(),
 						RDefs: probes, Us: cfg.Us, MaxOps: cfg.MaxCompletingOps,
-						Model: cfg.Model, Ctx: cfg.Ctx,
-						Memo: memo, Replay: replay, Pool: pool,
+						Ctx: cfg.Ctx, Replay: replay, Pool: pool,
 					})
 					if err != nil {
 						unitErrs[ui] = fmt.Errorf("analysis: completing %s for %s: %w", finding.FFM, open.Name(), err)

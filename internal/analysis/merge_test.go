@@ -25,11 +25,10 @@ func TestMergeProverMatchesSimulatedSweep(t *testing.T) {
 	}
 	az := netlint.New(col.Circuit(), dram.LintModel())
 
-	// One pooled factory and memo across all defects and SOSes: the
-	// sweep is the expensive half of this test, and the PR 2 machinery
-	// exists precisely to make cross-checks like this cheap.
+	// One pooled factory across all defects and SOSes: the sweep is the
+	// expensive half of this test, and column pooling exists precisely
+	// to make cross-checks like this cheap.
 	factory := analysis.NewPooledSpiceFactory(dram.Default())
-	memo := analysis.NewMemo()
 	rdefs := numeric.Logspace(1e2, 1e6, 3) // low resistance = severe short
 	us := []float64{0, 1.65, 3.3}
 	soses := []fp.SOS{
@@ -57,7 +56,7 @@ func TestMergeProverMatchesSimulatedSweep(t *testing.T) {
 			for _, sos := range soses {
 				plane, err := analysis.SweepPlane(analysis.SweepConfig{
 					Factory: factory, Open: o, Float: sb.Probe, SOS: sos,
-					RDefs: rdefs, Us: us, Memo: memo,
+					RDefs: rdefs, Us: us,
 				})
 				if err != nil {
 					t.Fatalf("%s / %q: %v", sb.Name(), sos, err)

@@ -54,18 +54,10 @@ type SweepConfig struct {
 	// Ignored when Pool is set.
 	Parallelism int
 
-	// Model fingerprints the Factory for memo keying. Required whenever
-	// Memo outlives this sweep's Factory (shared or persistent caches);
-	// may stay empty for a sweep-local or single-factory memo.
-	Model Fingerprint
 	// Ctx, when non-nil, cancels the sweep: points not yet started are
 	// abandoned and the context error is returned.
 	Ctx context.Context
 
-	// Memo, when non-nil, caches (and reuses) point outcomes across
-	// sweeps sharing the same Factory — or, when Model is set, across
-	// factories without collision.
-	Memo *Memo
 	// Replay, when non-nil, shares simulation prefixes between points;
 	// it must have been built for this sweep's Factory, Open and
 	// Float.Nets.
@@ -118,7 +110,7 @@ func SweepPlane(cfg SweepConfig) (*Plane, error) {
 	err := pool.ForEach(cfg.Ctx, len(cfg.RDefs)*nU, func(k int) error {
 		i, j := k/nU, k%nU
 		rdef, u := cfg.RDefs[i], cfg.Us[j]
-		out, err := evalSOS(cfg.Model, cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cfg.SOS, cfg.Memo, cfg.Replay)
+		out, err := evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cfg.SOS, cfg.Replay)
 		if err != nil {
 			return fmt.Errorf("analysis: point (%.3g Ω, %.3g V): %w", rdef, u, err)
 		}

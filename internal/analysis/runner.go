@@ -269,32 +269,13 @@ func runSOSOn(mem Memory, floatNets []string, u float64, sos fp.SOS) (Outcome, e
 	return out, nil
 }
 
-// evalSOS is the cache-aware entry point used by the sweep and
-// completion phases: memo lookup first, then the replay cache, then a
-// plain fresh-build run; the result is stored back into the memo. The
-// model fingerprint scopes the memo key to the factory's identity.
-func evalSOS(model Fingerprint, factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS, memo *Memo, replay *ReplayCache) (Outcome, error) {
-	var key OutcomeKey
-	if memo != nil {
-		key = NewOutcomeKey(model, open, rdef, nets, u, sos)
-		if out, ok := memo.Lookup(key); ok {
-			return out, nil
-		}
-	}
-	var out Outcome
-	var err error
+// evalSOS is the entry point used by the sweep and completion phases:
+// the replay tree when one is given, else a plain fresh-build run.
+func evalSOS(factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS, replay *ReplayCache) (Outcome, error) {
 	if replay != nil {
-		out, err = replay.Run(rdef, u, sos)
-	} else {
-		out, err = RunSOS(factory, open, rdef, nets, u, sos)
+		return replay.Run(rdef, u, sos)
 	}
-	if err != nil {
-		return Outcome{}, err
-	}
-	if memo != nil {
-		memo.Store(key, out)
-	}
-	return out, nil
+	return RunSOS(factory, open, rdef, nets, u, sos)
 }
 
 // ClassifyOutcome compares an observed outcome against the SOS's

@@ -1,7 +1,7 @@
 // Differential equivalence tests for the multi-defect and weak-merge
 // catalog: every scenario's statically declared verdicts must hold
-// bit-for-bit against both the prover and the pooled+memoized
-// electrical pipeline. Three claims are checked per scenario:
+// bit-for-bit against both the prover and the pooled electrical
+// pipeline. Three claims are checked per scenario:
 //
 //  1. The static prover reproduces the catalog's declared class and
 //     weak-merge verdicts exactly, and predicts zero floating groups —
@@ -35,7 +35,6 @@ func TestMergeScenarioProverMatchesSweep(t *testing.T) {
 	az := netlint.New(col.Circuit(), dram.LintModelFor(tech))
 
 	factory := analysis.NewPooledSpiceFactory(tech)
-	memo := analysis.NewMemo()
 	us := []float64{0, 1.65, 3.3}
 	soses := []fp.SOS{
 		fp.NewSOS(fp.Init0),
@@ -124,7 +123,7 @@ func TestMergeScenarioProverMatchesSweep(t *testing.T) {
 			for _, sos := range soses {
 				plane, err := analysis.SweepPlane(analysis.SweepConfig{
 					Factory: factory, Open: o, Float: sc.Probe, SOS: sos,
-					RDefs: rdefs, Us: us, Memo: memo,
+					RDefs: rdefs, Us: us,
 				})
 				if err != nil {
 					t.Fatalf("%s / %q: %v", sc.Name, sos, err)

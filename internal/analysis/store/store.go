@@ -8,7 +8,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -158,13 +157,7 @@ func (s *Store) Len() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	n := 0
-	for _, m := range matches {
-		if !bytes.HasPrefix([]byte(filepath.Base(m)), []byte("outcomes-")) {
-			n++
-		}
-	}
-	return n, nil
+	return len(matches), nil
 }
 
 // Stats returns traffic counters since Open.
@@ -182,7 +175,9 @@ func (s *Store) count(f func(*Stats)) {
 
 // writeAtomic writes via a temp file in the same directory plus rename,
 // so concurrent writers race benignly and readers never see partial
-// content.
+// content. The temp file is synced before the rename: otherwise a power
+// cut after the rename can leave the entry's name pointing at an empty
+// file, which Get would then reject as corrupt on every request.
 func writeAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
@@ -190,7 +185,11 @@ func writeAtomic(path string, data []byte) error {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err

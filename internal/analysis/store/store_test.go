@@ -6,11 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"github.com/memtest/partialfaults/internal/analysis"
-	"github.com/memtest/partialfaults/internal/behav"
-	"github.com/memtest/partialfaults/internal/defect"
-	"github.com/memtest/partialfaults/internal/fp"
 )
 
 func TestKeyDigestSensitivity(t *testing.T) {
@@ -211,164 +206,5 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	}
 	if string(buf) != `{"v":42}` {
 		t.Fatalf("payload = %s", buf)
-	}
-}
-
-func firstOpenWithFloat(t *testing.T) (defect.Open, defect.FloatGroup) {
-	t.Helper()
-	for _, open := range defect.SimulatedOpens() {
-		if len(open.Floats) > 0 {
-			return open, open.Floats[0]
-		}
-	}
-	t.Fatal("no simulated open with a floating group")
-	return defect.Open{}, defect.FloatGroup{}
-}
-
-// TestOutcomeLogRoundTrip proves restart persistence at the outcome
-// level: run a real (tiny) sweep journaling into the log, reopen the
-// log into a fresh memo, and require the second sweep to be served
-// entirely from replayed entries — zero misses — with a bit-identical
-// plane.
-func TestOutcomeLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "outcomes.jsonl")
-	params := behav.DefaultParams()
-	factory := behav.NewFactory(params)
-	model := behav.Fingerprint(params)
-	open, group := firstOpenWithFloat(t)
-	cfg := analysis.SweepConfig{
-		Factory: factory,
-		Open:    open,
-		Float:   group,
-		SOS:     fp.NewSOS(fp.Init1, fp.R(1)),
-		RDefs:   []float64{1e5, 1e7},
-		Us:      []float64{0, 2.0},
-		Model:   model,
-	}
-
-	memo1 := analysis.NewMemo()
-	log1, err := OpenOutcomeLog(path, memo1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Memo = memo1
-	fresh, err := analysis.SweepPlane(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	memo2 := analysis.NewMemo()
-	log2, err := OpenOutcomeLog(path, memo2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log2.Close()
-	if replayed, skipped := log2.Replayed(); replayed != memo1.Len() || skipped != 0 {
-		t.Fatalf("replayed %d (skipped %d), want %d", replayed, skipped, memo1.Len())
-	}
-	cfg.Memo = memo2
-	replayedPlane, err := analysis.SweepPlane(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := memo2.Snapshot(); st.Misses != 0 {
-		t.Fatalf("replayed sweep missed the warmed memo %d times", st.Misses)
-	}
-	for i := range fresh.Points {
-		for j := range fresh.Points[i] {
-			a, b := fresh.Points[i][j], replayedPlane.Points[i][j]
-			if a.Faulty != b.Faulty || a.FFM != b.FFM || a.FP.String() != b.FP.String() {
-				t.Fatalf("point (%d,%d) differs after replay: %+v vs %+v", i, j, a, b)
-			}
-		}
-	}
-}
-
-// TestOutcomeLogModelInvalidation: a log written under one model
-// fingerprint must not serve a differently-fingerprinted sweep — the
-// OutcomeKey regression scenario, at the persistence layer.
-func TestOutcomeLogModelInvalidation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "outcomes.jsonl")
-	params := behav.DefaultParams()
-	open, group := firstOpenWithFloat(t)
-	cfg := analysis.SweepConfig{
-		Factory: behav.NewFactory(params),
-		Open:    open,
-		Float:   group,
-		SOS:     fp.NewSOS(fp.Init1, fp.R(1)),
-		RDefs:   []float64{1e5, 1e7},
-		Us:      []float64{0, 2.0},
-		Model:   behav.Fingerprint(params),
-	}
-	memo1 := analysis.NewMemo()
-	log1, err := OpenOutcomeLog(path, memo1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Memo = memo1
-	if _, err := analysis.SweepPlane(cfg); err != nil {
-		t.Fatal(err)
-	}
-	log1.Close()
-
-	// Same grid, but the technology changed: new fingerprint.
-	changed := params
-	changed.Tech.VDD *= 1.1
-	memo2 := analysis.NewMemo()
-	log2, err := OpenOutcomeLog(path, memo2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log2.Close()
-	cfg.Factory = behav.NewFactory(changed)
-	cfg.Model = behav.Fingerprint(changed)
-	cfg.Memo = memo2
-	if _, err := analysis.SweepPlane(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if st := memo2.Snapshot(); st.Hits != 0 {
-		t.Fatalf("changed-technology sweep hit %d stale replayed outcomes", st.Hits)
-	}
-}
-
-// TestOutcomeLogTornTail: a crash mid-append leaves a torn last line;
-// reopening must skip it and keep every complete record.
-func TestOutcomeLogTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "outcomes.jsonl")
-	memo := analysis.NewMemo()
-	l, err := OpenOutcomeLog(path, memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	open, _ := firstOpenWithFloat(t)
-	k := analysis.NewOutcomeKey("behav:x", open, 1e5, []string{"BT"}, 1.0, fp.NewSOS(fp.Init1, fp.R(1)))
-	memo.Store(k, analysis.Outcome{F: 1, R: fp.ReadResultOf(1)})
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"key":{"Model":"behav:x","OpenID":`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	memo2 := analysis.NewMemo()
-	l2, err := OpenOutcomeLog(path, memo2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	replayed, skipped := l2.Replayed()
-	if replayed != 1 || skipped != 1 {
-		t.Fatalf("replayed=%d skipped=%d, want 1/1", replayed, skipped)
-	}
-	if out, ok := memo2.Lookup(k); !ok || out.F != 1 {
-		t.Fatalf("complete record lost: ok=%v out=%+v", ok, out)
 	}
 }

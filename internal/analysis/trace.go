@@ -27,8 +27,8 @@ type TraceConfig struct {
 }
 
 // TraceStats counts how each grid point of a traced plane was obtained.
-// "Simulated" points went through the evaluation pipeline (the memo or
-// replay cache may still have served them without an engine run);
+// "Simulated" points went through the evaluation pipeline (the replay
+// cache may still have served them without an engine run);
 // "inferred" points were filled by unanimous-perimeter flood inference
 // and never touched the pipeline at all.
 type TraceStats struct {
@@ -372,8 +372,8 @@ type tracer struct {
 }
 
 // classify simulates every not-yet-known point of the batch in
-// parallel through the shared evaluation pipeline (memo, replay,
-// pool), crediting the given counter. The batch is deduplicated and
+// parallel through the shared evaluation pipeline (replay, pool),
+// crediting the given counter. The batch is deduplicated and
 // sorted so batch membership, stats and the error returned on failure
 // (first in grid order) are all independent of goroutine scheduling.
 func (t *tracer) classify(batch []gridPt, counter *int) error {
@@ -398,7 +398,7 @@ func (t *tracer) classify(batch []gridPt, counter *int) error {
 	err := t.pool.ForEach(t.cfg.Ctx, len(work), func(k int) error {
 		p := work[k]
 		rdef, u := t.cfg.RDefs[p.i], t.cfg.Us[p.j]
-		out, err := evalSOS(t.cfg.Model, t.cfg.Factory, t.cfg.Open, rdef, t.cfg.Float.Nets, u, t.cfg.SOS, t.cfg.Memo, t.cfg.Replay)
+		out, err := evalSOS(t.cfg.Factory, t.cfg.Open, rdef, t.cfg.Float.Nets, u, t.cfg.SOS, t.cfg.Replay)
 		if err != nil {
 			return fmt.Errorf("analysis: point (%.3g Ω, %.3g V): %w", rdef, u, err)
 		}

@@ -19,7 +19,7 @@ import (
 )
 
 // countingFactory wraps a Factory and counts how many memories it
-// built — with no memo and no replay cache in play, that is exactly
+// built — with no replay cache in play, that is exactly
 // the number of transient simulations a sweep issued.
 type countingFactory struct {
 	mu sync.Mutex

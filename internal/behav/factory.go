@@ -72,11 +72,11 @@ func NewFactory(p Params) analysis.Factory {
 	}
 }
 
-// Fingerprint identifies the analytical model for memo and store
-// keying: the "behav" kind plus every tuning parameter and the full
-// embedded technology, so any calibration change invalidates cached
-// outcomes. %#v renders Params fields in declaration order, making the
-// encoding deterministic.
+// Fingerprint identifies the analytical model for store keying: the
+// "behav" kind plus every tuning parameter and the full embedded
+// technology, so any calibration change invalidates cached results.
+// %#v renders Params fields in declaration order, making the encoding
+// deterministic.
 func Fingerprint(p Params) analysis.Fingerprint {
 	return analysis.NewFingerprint("behav", fmt.Sprintf("%#v", p))
 }

@@ -102,7 +102,7 @@ func (q *Inventory) Key(env *Env) store.Key {
 
 // Run sweeps the inventory.
 func (q *Inventory) Run(ctx context.Context, env *Env) ([]analysis.Row, error) {
-	factory, model, err := env.Factory(q.Engine)
+	factory, err := env.Factory(q.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -110,9 +110,8 @@ func (q *Inventory) Run(ctx context.Context, env *Env) ([]analysis.Row, error) {
 		Factory: factory,
 		Opens:   q.opens,
 		RDefs:   q.RDefs, Us: q.Us,
-		Model: model,
 		Ctx:   ctx,
-		Memo:  env.Memo, Pool: env.Pool,
+		Pool:  env.Pool,
 		Sweep: q.mode, Trace: env.Trace,
 		Progress: env.Progress,
 	})
@@ -421,7 +420,7 @@ func (q *Stress) Run(ctx context.Context, env *Env) (*stress.Result, error) {
 		RDefs:       q.RDefs, Us: q.Us,
 		Tests: q.tests,
 		Rows:  q.Rows, Cols: q.Cols,
-		Pool: env.Pool, Memo: env.Memo,
+		Pool:  env.Pool,
 		Ctx:   ctx,
 		Sweep: q.mode, Trace: env.Trace,
 		Progress: env.Progress,

@@ -51,8 +51,8 @@ func badRequest(format string, args ...any) error {
 }
 
 // Env is what every request runs over: the model parameters and their
-// fingerprints, the catalog fingerprint, and the shared pool, memo and
-// trace counters.
+// fingerprints, the catalog fingerprint, and the shared pool and trace
+// counters.
 type Env struct {
 	Params behav.Params
 	Tech   dram.Technology
@@ -62,10 +62,9 @@ type Env struct {
 	BehavModel analysis.Fingerprint
 	SpiceModel analysis.Fingerprint
 	Catalog    string
-	// Pool bounds concurrent simulations across all requests; Memo and
-	// Trace are shared by every sweep run over this Env.
+	// Pool bounds concurrent simulations across all requests; Trace is
+	// shared by every sweep run over this Env.
 	Pool  *analysis.Pool
-	Memo  *analysis.Memo
 	Trace *analysis.TraceCounters
 	// Progress, when non-nil, receives pipeline progress lines.
 	Progress func(string)
@@ -79,7 +78,6 @@ func NewEnv(params *behav.Params, tech *dram.Technology, parallelism int) (*Env,
 		Params: behav.DefaultParams(),
 		Tech:   dram.Default(),
 		Pool:   analysis.NewPool(parallelism),
-		Memo:   analysis.NewMemo(),
 		Trace:  &analysis.TraceCounters{},
 	}
 	if params != nil {
@@ -142,16 +140,15 @@ func (e *Env) model(engine string) (analysis.Fingerprint, error) {
 
 // Factory resolves an inventory engine name ("" or "behav" for the
 // analytical model, "spice" for the pooled transient column) to its
-// Factory and model fingerprint.
-func (e *Env) Factory(engine string) (analysis.Factory, analysis.Fingerprint, error) {
-	model, err := e.model(engine)
-	if err != nil {
-		return nil, "", err
+// Factory.
+func (e *Env) Factory(engine string) (analysis.Factory, error) {
+	if _, err := e.model(engine); err != nil {
+		return nil, err
 	}
 	if engine == engineSpice {
-		return analysis.NewPooledSpiceFactory(e.Tech), model, nil
+		return analysis.NewPooledSpiceFactory(e.Tech), nil
 	}
-	return behav.NewFactory(e.Params), model, nil
+	return behav.NewFactory(e.Params), nil
 }
 
 // bitPlane is the bit-plane engine every request shares: it holds only

@@ -24,10 +24,8 @@ import (
 	"io"
 	"maps"
 	"net/http"
-	"path/filepath"
 	"sync"
 
-	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/analysis/store"
 	"github.com/memtest/partialfaults/internal/behav"
 	"github.com/memtest/partialfaults/internal/dram"
@@ -42,9 +40,8 @@ const maxBodyBytes = 1 << 20
 
 // Config parameterizes a Server.
 type Config struct {
-	// StoreDir, when non-empty, persists results (content-addressed
-	// blobs) and point outcomes (append-only log) under this directory.
-	// Empty means in-memory caching only.
+	// StoreDir, when non-empty, persists results as content-addressed
+	// blobs under this directory. Empty means no result store.
 	StoreDir string
 	// Parallelism bounds concurrent simulations across ALL requests;
 	// 0 means GOMAXPROCS.
@@ -62,8 +59,7 @@ type Server struct {
 	env   *request.Env
 	kinds map[string]serveFunc
 
-	store  *store.Store // nil when StoreDir is empty
-	outLog *store.OutcomeLog
+	store *store.Store // nil when StoreDir is empty
 
 	flights *flightGroup
 
@@ -74,8 +70,6 @@ type Server struct {
 	// corner pipelines they swept.
 	stressMatrices uint64
 	stressCorners  uint64
-
-	bootMemo analysis.MemoStats
 }
 
 // serveFunc answers one cacheable request body: the result payload and
@@ -101,13 +95,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.store = st
-		log, err := store.OpenOutcomeLog(filepath.Join(cfg.StoreDir, "outcomes.jsonl"), env.Memo)
-		if err != nil {
-			return nil, fmt.Errorf("service: %w", err)
-		}
-		s.outLog = log
 	}
-	s.bootMemo = env.Memo.Snapshot()
 
 	s.kinds = map[string]serveFunc{
 		"inventory": serve[request.Inventory](s, report.ToInventoryJSON),
@@ -138,14 +126,10 @@ func New(cfg Config) (*Server, error) {
 // ServeHTTP dispatches to the API routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close detaches the persistent outcome log. In-flight requests keep
-// their memo; new outcomes just stop persisting.
-func (s *Server) Close() error {
-	if s.outLog != nil {
-		return s.outLog.Close()
-	}
-	return nil
-}
+// Close always succeeds: every store write is synced and renamed into
+// place before its request returns, so a Server holds nothing to flush
+// or release.
+func (s *Server) Close() error { return nil }
 
 // --- the generic request path ---
 
@@ -287,18 +271,8 @@ type MetricsResponse struct {
 	Requests map[string]uint64 `json:"requests"`
 	// SingleflightCollapsed counts requests that joined another
 	// caller's in-flight computation instead of starting their own.
-	SingleflightCollapsed uint64 `json:"singleflight_collapsed"`
-	// Memo is the outcome-cache counter movement since boot — a
-	// Snapshot/Delta reading, not the raw cumulative counters (which
-	// include entries replayed from the persistent log and would
-	// double-count across phases).
-	Memo struct {
-		Hits    uint64  `json:"hits"`
-		Misses  uint64  `json:"misses"`
-		HitRate float64 `json:"hit_rate"`
-		Entries int     `json:"entries"`
-	} `json:"memo"`
-	Store *StoreMetrics `json:"store,omitempty"`
+	SingleflightCollapsed uint64        `json:"singleflight_collapsed"`
+	Store                 *StoreMetrics `json:"store,omitempty"`
 	// Trace reports traced-sweep work since boot: how many planes ran
 	// in traced mode, how many grid points were simulated vs inferred
 	// without simulation, and the resulting reduction factor.
@@ -337,9 +311,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp.Stress.Corners = s.stressCorners
 	s.mu.Unlock()
 	resp.SingleflightCollapsed = s.flights.Collapsed()
-	d := s.env.Memo.Snapshot().Delta(s.bootMemo)
-	resp.Memo.Hits, resp.Memo.Misses, resp.Memo.HitRate = d.Hits, d.Misses, d.HitRate()
-	resp.Memo.Entries = s.env.Memo.Len()
 	if s.store != nil {
 		st := s.store.Stats()
 		n, _ := s.store.Len()

@@ -4,7 +4,7 @@
 // and word-line boost scaling, precharge-level shifts and
 // temperature-scaled device parameters — are expressed as validated
 // derivations of dram.Technology, swept over the full defect catalog
-// through the existing pooled/memoized pipeline, and reported as a
+// through the existing pooled pipeline, and reported as a
 // per-corner Table-1-style inventory, a corner-delta report against the
 // nominal corner, and a worst-corner coverage certificate that is only
 // claimed when it holds at every corner (DESIGN.md §15).
@@ -60,8 +60,8 @@ type Spec struct {
 // Nominal returns the identity corner: every scale 1, every shift 0,
 // temperature at the default calibration point. Deriving it from a base
 // technology returns that technology bit-for-bit, so the nominal corner
-// shares the base model's fingerprint — and therefore its memo and
-// store entries.
+// shares the base model's fingerprint — and therefore its store
+// entries.
 func Nominal() Spec {
 	return Spec{Name: "nominal", VDDScale: 1, VPPScale: 1, TempC: dram.Default().TempC}
 }

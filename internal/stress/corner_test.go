@@ -13,7 +13,7 @@ import (
 // TestNominalIdentity pins the identity the whole stress axis hangs on:
 // deriving the nominal corner returns the base technology and the base
 // analytical parameters bit-for-bit, so the nominal corner shares the
-// base model's fingerprint — and therefore its memo and store entries.
+// base model's fingerprint — and therefore its store entries.
 func TestNominalIdentity(t *testing.T) {
 	base := dram.Default()
 	got, err := Nominal().Derive(base)
@@ -51,8 +51,10 @@ func TestDefaultCornersDeriveClean(t *testing.T) {
 }
 
 // TestCornerFingerprintsDistinct is the anti-aliasing property the
-// shared memo and store depend on: distinct corners derive distinct
-// model fingerprints under both engines.
+// result store and the duplicate-corner guard depend on: distinct
+// corners derive distinct model fingerprints under both engines, and
+// every fingerprint names its model kind, so an electrical and an
+// analytical fingerprint never coincide.
 func TestCornerFingerprintsDistinct(t *testing.T) {
 	seenBehav := map[analysis.Fingerprint]string{}
 	seenSpice := map[analysis.Fingerprint]string{}
@@ -79,6 +81,9 @@ func TestCornerFingerprintsDistinct(t *testing.T) {
 			t.Errorf("corners %s and %s share spice fingerprint %s", prev, c.Name, sf)
 		}
 		seenSpice[sf] = c.Name
+		if bf.Kind() != "behav" || sf.Kind() != "spice" {
+			t.Errorf("corner %s: model kinds not explicit: %q vs %q", c.Name, bf.Kind(), sf.Kind())
+		}
 	}
 }
 
@@ -116,13 +121,13 @@ func TestParseSpecRoundTrip(t *testing.T) {
 // TestParseSpecErrors drives the parser's rejection paths.
 func TestParseSpecErrors(t *testing.T) {
 	for _, in := range []string{
-		"",                // empty
-		"   ",             // blank
-		":vdd=1",          // no name
-		"volcanic",        // unknown built-in
-		"x:vdd",           // no value
-		"x:vdd=abc",       // unparsable value
-		"x:warp=9",        // unknown key
+		"",          // empty
+		"   ",       // blank
+		":vdd=1",    // no name
+		"volcanic",  // unknown built-in
+		"x:vdd",     // no value
+		"x:vdd=abc", // unparsable value
+		"x:warp=9",  // unknown key
 	} {
 		if _, err := ParseSpec(in); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", in)

@@ -66,8 +66,8 @@ func TestStressMatrixDifferential(t *testing.T) {
 				t.Fatalf("nominal model %s, want base %s", res.Nominal().Model, model)
 			}
 			direct, err := analysis.BuildInventory(analysis.InventoryConfig{
-				Factory: factory, Model: model,
-				Opens: opens, RDefs: tc.rdefs, Us: tc.us,
+				Factory: factory,
+				Opens:   opens, RDefs: tc.rdefs, Us: tc.us,
 			})
 			if err != nil {
 				t.Fatal(err)

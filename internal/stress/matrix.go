@@ -47,12 +47,9 @@ type Config struct {
 	MaxCompletingOps int
 	// Parallelism bounds concurrent simulations when Pool is nil.
 	Parallelism int
-	// Pool, Memo and Ctx thread through to every corner's pipeline.
-	// Distinct corners derive distinct model fingerprints, so one memo
-	// (and one persistent store behind it) is safe to share across the
-	// whole matrix — corners can never serve each other's outcomes.
+	// Pool and Ctx thread through to every corner's pipeline: one
+	// concurrency bound and one cancellation for the whole matrix.
 	Pool *analysis.Pool
-	Memo *analysis.Memo
 	Ctx  context.Context
 	// Sweep, TraceStride and Trace select and instrument the plane-sweep
 	// strategy, exactly as in analysis.InventoryConfig.
@@ -181,7 +178,7 @@ func Injectable(e march.CatalogEntry) (bool, string) {
 
 // Analyze runs the full stress matrix: every corner's technology is
 // derived and lint-validated, its inventory swept through the shared
-// pooled/memoized pipeline under its own model fingerprint, its
+// pool under its own factory and model fingerprint, its
 // coverage matrix simulated over the derived catalog, and the deltas
 // and worst-corner certificate assembled. Corners run concurrently;
 // the result is deterministic in submission order.
@@ -244,10 +241,6 @@ func Analyze(cfg Config) (*Result, error) {
 	if pool == nil {
 		pool = analysis.NewPool(cfg.Parallelism)
 	}
-	memo := cfg.Memo
-	if memo == nil {
-		memo = analysis.NewMemo()
-	}
 
 	// Derive every corner up front: a bad corner fails the whole matrix
 	// before any simulation runs.
@@ -279,7 +272,7 @@ func Analyze(cfg Config) (*Result, error) {
 			d = derived{factory: analysis.NewPooledSpiceFactory(t), model: fpnt, tech: t}
 		}
 		if prev, dup := seenModels[d.model]; dup {
-			return nil, fmt.Errorf("stress: corners %q and %q derive the same model fingerprint %s — they would alias in the memo; drop one",
+			return nil, fmt.Errorf("stress: corners %q and %q derive the same model fingerprint %s — they alias one model and would compute the same results; drop one",
 				prev, spec.Name, d.model)
 		}
 		seenModels[d.model] = spec.Name
@@ -300,9 +293,7 @@ func Analyze(cfg Config) (*Result, error) {
 				Opens:   cfg.Opens,
 				RDefs:   rdefs, Us: us,
 				MaxCompletingOps: cfg.MaxCompletingOps,
-				Model:            d.model,
-				Ctx:              cfg.Ctx,
-				Memo:             memo, Pool: pool,
+				Ctx:              cfg.Ctx, Pool: pool,
 				Sweep: cfg.Sweep, TraceStride: cfg.TraceStride, Trace: cfg.Trace,
 			})
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/march"
@@ -103,15 +104,16 @@ func TestCornerPermutationInvariance(t *testing.T) {
 	}
 }
 
-// TestMemoNeverAliasesAcrossCorners is the anti-aliasing regression:
-// all corners share one memo in a full Analyze, so each corner's run
-// must be bit-identical to an isolated Analyze of that corner alone
-// with a fresh memo. A memo entry served across corners would break
-// this immediately.
-func TestMemoNeverAliasesAcrossCorners(t *testing.T) {
+// TestCornersIndependentUnderSharedPool: all corners of a full Analyze
+// run concurrently over one shared pool, so each corner's run must be
+// bit-identical to an isolated Analyze of that corner alone. State
+// leaking between concurrent corners would break this immediately.
+func TestCornersIndependentUnderSharedPool(t *testing.T) {
 	hot, _ := ParseSpec("hot")
 	lowVDD, _ := ParseSpec("low-vdd")
-	shared, err := Analyze(smallConfig(t, []Spec{Nominal(), lowVDD, hot}))
+	cfg := smallConfig(t, []Spec{Nominal(), lowVDD, hot})
+	cfg.Pool = analysis.NewPool(8)
+	shared, err := Analyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +126,16 @@ func TestMemoNeverAliasesAcrossCorners(t *testing.T) {
 		soloRun := runsByName(solo)[spec.Name]
 		got := sharedRuns[spec.Name]
 		if !reflect.DeepEqual(got.Rows, soloRun.Rows) {
-			t.Errorf("corner %s inventory differs under the shared memo", spec.Name)
+			t.Errorf("corner %s inventory differs under the shared pool", spec.Name)
 		}
 		if !reflect.DeepEqual(got.Coverage, soloRun.Coverage) {
-			t.Errorf("corner %s coverage differs under the shared memo", spec.Name)
+			t.Errorf("corner %s coverage differs under the shared pool", spec.Name)
 		}
 	}
 }
 
 // TestDuplicateFingerprintRejected: two differently-named corners with
-// identical derivations would alias in the memo; Analyze must refuse.
+// identical derivations alias one model; Analyze must refuse.
 func TestDuplicateFingerprintRejected(t *testing.T) {
 	a, _ := ParseSpec("a:vdd=0.95")
 	b, _ := ParseSpec("b:vdd=0.95")
