@@ -19,7 +19,7 @@
 //
 // -twocell "March C-" (or "all") prints the two-cell coverage
 // certificate for the named march test on a 4×2 array: the static
-// completion pre-pass checked against the exhaustive coupling-fault
+// cannot-fire column checked against the exhaustive coupling-fault
 // simulation.
 //
 // -prove "March PF" (or "all") prints the static three-valued detection
@@ -89,7 +89,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.defects, "defect", "", "comma-separated short/bridge defect sites, each optionally @ohms (e.g. short.cell.gnd,bridge.cell.cell or short.bl.vdd@2e3); with -predict, prints the net-merge verdict table instead of an open's float set")
 	fs.StringVar(&o.twoCell, "twocell", "", "march test name (or \"all\") whose two-cell coverage certificate to print; exits nonzero on an unsound certificate")
 	fs.StringVar(&o.marchEngine, "march-engine", "memsim", "march simulation backend for -twocell: memsim (scalar oracle) or bitsim (bit-plane)")
-	fs.StringVar(&o.prove, "prove", "", "march test name (or \"all\") whose static three-valued detection matrix to print; exits nonzero when the prover and the completion pre-pass disagree")
+	fs.StringVar(&o.prove, "prove", "", "march test name (or \"all\") whose static three-valued detection matrix to print")
 	fs.BoolVar(&o.stress, "stress", false, "sweep the defect catalog at every operating corner and print per-corner inventories, corner deltas and the worst-corner coverage certificate")
 	fs.StringVar(&o.corners, "corners", "", "semicolon-separated corner list for -stress: built-in names (nominal, low-vdd, high-vdd, weak-precharge, hot, cold) or name:key=val,... derivations (keys vdd, vpp, bleq, vref, temp); default: the built-in set")
 	return o, fs.Parse(args)
@@ -215,7 +215,7 @@ func faultMap(stdout, stderr io.Writer, env *request.Env, o *options) error {
 	if err := grid.Normalize(); err != nil {
 		return err
 	}
-	plane, err := analysis.RunSweep(mode, 0, env.Trace, analysis.SweepConfig{
+	plane, err := analysis.RunSweep(mode, env.Trace, analysis.SweepConfig{
 		Factory: factory, Open: open, Float: group, SOS: sos,
 		RDefs: grid.RDefs, Us: grid.Us,
 	})
@@ -302,9 +302,7 @@ func twoCellCertificates(w io.Writer, env *request.Env, qs []*request.TwoCell) e
 	return nil
 }
 
-// detectionMatrix prints the static three-valued detection matrix and
-// errors when a completion-pre-pass cannot-complete claim is not a
-// proved miss.
+// detectionMatrix prints the static three-valued detection matrix.
 func detectionMatrix(w io.Writer, env *request.Env, q *request.Matrix) error {
 	m, err := request.Do[march.DetectionMatrix](context.Background(), env, q)
 	if err != nil {
@@ -312,9 +310,6 @@ func detectionMatrix(w io.Writer, env *request.Env, q *request.Matrix) error {
 	}
 	if err := report.WriteDetectionMatrix(w, m); err != nil {
 		return fmt.Errorf("prove: %v", err)
-	}
-	if len(m.Drift()) > 0 {
-		return fmt.Errorf("prove: the detection prover and the completion pre-pass disagree")
 	}
 	return nil
 }

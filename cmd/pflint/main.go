@@ -1,7 +1,7 @@
 // Command pflint runs the full static-analysis stack over this
 // repository: the netlist layer (floating-net prover, MNA solvability,
 // phase-model verification, nine-opens floating-line cross-check), the
-// march-test layer (structural lint plus the completion pre-pass), and
+// march-test layer (structural lint plus the detection prover), and
 // the Go project linter.
 //
 // Usage:
@@ -126,15 +126,15 @@ func seededBadFindings() lint.Findings {
 
 	// A structurally clean march test that provably misses coupling
 	// faults: without any non-transition write it can never perform the
-	// aggressor condition of a non-transition CFds, which the two-cell
-	// completion pre-pass proves statically.
+	// aggressor condition of a non-transition CFds, which the detection
+	// prover reports as proved misses.
 	missesCFds := march.Test{Name: "seeded-cfds-miss", Elements: []march.Element{
 		{Order: march.Any, Ops: []march.Op{march.W(0)}},
 		{Order: march.Up, Ops: []march.Op{march.R(0), march.W(1)}},
 		{Order: march.Down, Ops: []march.Op{march.R(1), march.W(0)}},
 		{Order: march.Any, Ops: []march.Op{march.R(0)}},
 	}}
-	out = append(out, march.TwoCellCompletionPrePass([]march.Test{missesCFds}, march.TwoCellCatalog())...)
+	out = append(out, march.DetectionPrePass([]march.Test{missesCFds}, nil, march.TwoCellCatalog())...)
 
 	// A march test with a provable detection gap: the MATS+ shape fires
 	// the bit-line-mediated TF↓ partial fault (its ⇓ element's w0 sees a

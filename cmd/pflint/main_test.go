@@ -37,14 +37,14 @@ func TestSelftestExitsNonzero(t *testing.T) {
 	}
 }
 
-// -v surfaces the informational findings (the completion pre-passes and
-// gmin diagnostics) that the default threshold hides.
+// -v surfaces the informational findings (the detection prover's proved
+// misses and gmin diagnostics) that the default threshold hides.
 func TestVerboseShowsInfo(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-v", "../../..."}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, errOut.String())
 	}
-	for _, want := range []string{"cannot-complete", "cannot-complete-twocell", "gmin-dependent"} {
+	for _, want := range []string{"proved-miss", "gmin-dependent"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("verbose output missing %q", want)
 		}
@@ -52,14 +52,14 @@ func TestVerboseShowsInfo(t *testing.T) {
 }
 
 // The seeded CFds-missing march test: structurally clean (no error
-// findings of its own), but the two-cell completion pre-pass proves it
-// cannot detect the non-transition disturb couplings.
+// findings of its own), but the detection prover proves it never
+// detects the non-transition disturb couplings.
 func TestSelftestFlagsSeededCFdsMiss(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-selftest", "-v"}, &out, &errOut); code != 1 {
 		t.Fatalf("exit = %d on seeded bad inputs, want 1\nstderr:\n%s", code, errOut.String())
 	}
-	for _, want := range []string{"seeded-cfds-miss", "cannot-complete-twocell", "CFds"} {
+	for _, want := range []string{"seeded-cfds-miss", "proved-miss", "CFds"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("verbose selftest output missing %q:\n%s", want, out.String())
 		}

@@ -47,14 +47,6 @@ type InventoryConfig struct {
 	Opens []defect.Open
 	// RDefs and Us are the sweep grid; probe subsets are derived.
 	RDefs, Us []float64
-	// BaseSOSes are the sensitizing sequences to sweep; defaults to the
-	// eight static single-cell SOSes (covering all 12 static FPs).
-	BaseSOSes []fp.SOS
-	// MaxCompletingOps bounds the completion search (default 3).
-	MaxCompletingOps int
-	// MaxProbeRDefs caps how many partial R_def rows the completion
-	// search re-simulates (default 4: smallest, largest, median, first-third).
-	MaxProbeRDefs int
 	// Parallelism bounds concurrent simulations per sweep.
 	Parallelism int
 	// Progress, when non-nil, receives one line per pipeline step.
@@ -63,8 +55,6 @@ type InventoryConfig struct {
 	// Traced sweeps run far fewer simulations and give the same planes
 	// wherever every fault region holds a sample (see RunSweep).
 	Sweep SweepMode
-	// TraceStride overrides the traced sweep's seed stride (0 = default).
-	TraceStride int
 	// Trace, when non-nil, accumulates traced-sweep statistics across
 	// all the pipeline's plane sweeps.
 	Trace *TraceCounters
@@ -92,8 +82,12 @@ func StaticSOSes() []fp.SOS {
 	}
 }
 
+// maxProbeRDefs caps how many partial R_def rows a completion search
+// re-simulates: smallest, largest, median and first third.
+const maxProbeRDefs = 4
+
 // BuildInventory runs the full paper pipeline: for every open and every
-// floating-voltage group, sweep each base SOS over the (R_def, U) grid,
+// floating-voltage group, sweep each static SOS over the (R_def, U) grid,
 // apply the partial-fault rule, and search completing operations for
 // every partial FFM found.
 //
@@ -110,14 +104,7 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 	if opens == nil {
 		opens = defect.SimulatedOpens()
 	}
-	soses := cfg.BaseSOSes
-	if soses == nil {
-		soses = StaticSOSes()
-	}
-	maxProbe := cfg.MaxProbeRDefs
-	if maxProbe <= 0 {
-		maxProbe = 4
-	}
+	soses := StaticSOSes()
 	progress := cfg.Progress
 	if progress == nil {
 		progress = func(string) {}
@@ -155,7 +142,7 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 			defer replay.Close()
 			seen := map[fp.FFM]bool{}
 			for _, sos := range soses {
-				plane, err := RunSweep(cfg.Sweep, cfg.TraceStride, cfg.Trace, SweepConfig{
+				plane, err := RunSweep(cfg.Sweep, cfg.Trace, SweepConfig{
 					Factory: cfg.Factory, Open: open, Float: group, SOS: sos,
 					RDefs: cfg.RDefs, Us: cfg.Us,
 					Ctx: cfg.Ctx, Replay: replay, Pool: pool,
@@ -170,11 +157,11 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 					}
 					seen[finding.FFM] = true
 					report(fmt.Sprintf("%s / %s: partial %s via %q", open.Name(), group.Var, finding.FFM, sos))
-					probes := probeRDefs(finding.RDefWithPartial, maxProbe)
+					probes := probeRDefs(finding.RDefWithPartial, maxProbeRDefs)
 					comp, err := SearchCompletion(CompletionConfig{
 						Factory: cfg.Factory, Open: open, Float: group,
 						Base:  finding.Example.Base(),
-						RDefs: probes, Us: cfg.Us, MaxOps: cfg.MaxCompletingOps,
+						RDefs: probes, Us: cfg.Us,
 						Ctx: cfg.Ctx, Replay: replay, Pool: pool,
 					})
 					if err != nil {

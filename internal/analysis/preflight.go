@@ -17,15 +17,12 @@ import (
 // the netlist structural proofs (floating nets, MNA solvability) and
 // phase-model verification, the per-open floating-line cross-check
 // against the defect package's Table 1 inventory, the march-test lint,
-// both completion pre-passes (single-cell and two-cell), whose
-// informational findings tell a coverage run which (test, fault) pairs
-// are statically proved undetectable and need no simulation, and the
-// three-valued detection pre-pass, which brackets every library test
-// against the fault catalogs with proved Detects/Misses verdicts and
-// cross-checks that every cannot-complete claim lands in the prover's
-// misses (an error-severity drift finding otherwise). A finding
-// at error severity means the pipeline's inputs are inconsistent and
-// its results would be untrustworthy.
+// and the three-valued detection pre-pass, which brackets every library
+// test against the fault catalogs with proved Detects/Misses verdicts;
+// its proved-miss findings tell a coverage run which (test, fault) pairs
+// are statically undetectable and need no simulation. A finding at
+// error severity means the pipeline's inputs are inconsistent and its
+// results would be untrustworthy.
 func Preflight(tech dram.Technology) (lint.Findings, error) {
 	techFindings := dram.LintTechnology(tech)
 	if techFindings.Count(lint.Error) > 0 {
@@ -44,8 +41,6 @@ func Preflight(tech dram.Technology) (lint.Findings, error) {
 	out = append(out, CrossCheckShortsBridges(az)...)
 	out = append(out, CrossCheckMergeScenarios(az)...)
 	out = append(out, march.LintAll(march.All())...)
-	out = append(out, march.CompletionPrePass(march.All(), march.PaperFaultCatalog())...)
-	out = append(out, march.TwoCellCompletionPrePass(march.All(), march.TwoCellCatalog())...)
 	out = append(out, march.DetectionPrePass(march.All(), march.PaperFaultCatalog(), march.TwoCellCatalog())...)
 	out.Sort()
 	return out, nil

@@ -118,17 +118,17 @@ func ParseSweepMode(s string) (SweepMode, error) {
 }
 
 // RunSweep dispatches one plane sweep to the selected strategy. Traced
-// stats are folded into counters when given; stride 0 means
-// DefaultTraceStride. The traced plane equals the dense one wherever
+// sweeps seed at DefaultTraceStride and fold their stats into counters
+// when given. The traced plane equals the dense one wherever
 // every fault region holds a sample (the differential suite checks the
 // catalog at seed resolution), but on a coarse grid it can miss a
 // region no sample lands in, so callers that cache results must key the
 // two modes apart.
-func RunSweep(mode SweepMode, stride int, counters *TraceCounters, cfg SweepConfig) (*Plane, error) {
+func RunSweep(mode SweepMode, counters *TraceCounters, cfg SweepConfig) (*Plane, error) {
 	if mode != SweepTraced {
 		return SweepPlane(cfg)
 	}
-	p, stats, err := TracePlane(TraceConfig{SweepConfig: cfg, Stride: stride})
+	p, stats, err := TracePlane(TraceConfig{SweepConfig: cfg})
 	if err != nil {
 		return nil, err
 	}

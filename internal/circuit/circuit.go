@@ -42,13 +42,11 @@ type BranchElement interface {
 // Newton iterations of a timestep and a right-hand-side part. The engine
 // exploits the split to cache stamps:
 //
-//   - StampStaticA writes only into ctx.A. Under backward Euler (or DC)
-//     it may depend only on ctx.Dt and the element's own parameters, so
-//     the engine caches it per dt regime; under trapezoidal integration
-//     it may additionally depend on element state that changes only
-//     between timesteps (the engine then rebuilds it each step).
-//   - StampStepB writes only into ctx.B and may depend on ctx.Time,
-//     ctx.XPrev and element state — everything fixed within one step.
+//   - StampStaticA writes only into ctx.A. It may depend only on ctx.Dt
+//     and the element's own parameters, so the engine caches it per dt
+//     regime.
+//   - StampStepB writes only into ctx.B and may depend on ctx.Time and
+//     ctx.XPrev — everything fixed within one step.
 //
 // Stamp must remain the exact sum of the two parts: the engine falls
 // back to it for elements that do not implement the split.
@@ -75,16 +73,6 @@ type GroundedSource interface {
 	PinnedValue(t float64) float64
 }
 
-// Committer is implemented by elements that carry integration state
-// beyond the node voltages (e.g. capacitor branch currents under
-// trapezoidal integration). Commit is called once per accepted timestep
-// with the converged solution in ctx.X.
-type Committer interface {
-	Element
-	// Commit updates the element's internal state after a step.
-	Commit(ctx *StampContext)
-}
-
 // StampContext carries everything an element needs to stamp itself.
 type StampContext struct {
 	A *numeric.Matrix // MNA matrix to accumulate into
@@ -95,10 +83,6 @@ type StampContext struct {
 
 	Dt   float64 // timestep in seconds; <= 0 means DC operating point
 	Time float64 // absolute simulation time at the end of this step
-
-	// Trapezoidal selects trapezoidal instead of backward-Euler
-	// companion models for reactive elements.
-	Trapezoidal bool
 
 	// RowMap, when non-nil, redirects the stamp helpers into a reduced
 	// system from which grounded-source unknowns have been eliminated:

@@ -68,20 +68,15 @@ func (r *Resistor) Current(v func(int) float64) float64 {
 	return (v(r.a) - v(r.b)) / r.ohms
 }
 
-// Capacitor is a linear two-terminal capacitor. Under backward-Euler it
-// is stateless; under trapezoidal integration it tracks its branch
-// current between steps (falling back to backward Euler on the first
-// step after a state reset, the standard damped start). During DC
-// analysis it is treated as open (no stamp), so every capacitor node
-// needs a DC path to ground — the simulator's gmin provides one for
-// genuinely floating nodes such as isolated bit lines.
+// Capacitor is a linear two-terminal capacitor, stateless under
+// backward Euler. During DC analysis it is treated as open (no stamp),
+// so every capacitor node needs a DC path to ground — the simulator's
+// gmin provides one for genuinely floating nodes such as isolated bit
+// lines.
 type Capacitor struct {
 	name   string
 	a, b   int
 	farads float64
-
-	iPrev    float64
-	hasIPrev bool
 }
 
 // NewCapacitor creates a capacitor of the given capacitance (F) between
@@ -96,24 +91,13 @@ func NewCapacitor(name string, a, b int, farads float64) *Capacitor {
 // Name implements circuit.Element.
 func (c *Capacitor) Name() string { return c.name }
 
-// Capacitance returns the capacitance in farads.
-func (c *Capacitor) Capacitance() float64 { return c.farads }
-
 // Stamp implements circuit.Element using the backward-Euler companion
-// model (geq = C/dt in parallel with a current source geq·v(t−dt)) or,
-// when the context selects it and branch-current state exists, the
-// trapezoidal companion geq = 2C/dt with ieq = geq·v(t−dt) + i(t−dt).
+// model: geq = C/dt in parallel with a current source geq·v(t−dt).
 func (c *Capacitor) Stamp(ctx *circuit.StampContext) {
 	if ctx.Dt <= 0 {
 		return // open at DC
 	}
 	vPrev := ctx.VPrev(c.a) - ctx.VPrev(c.b)
-	if ctx.Trapezoidal && c.hasIPrev {
-		geq := 2 * c.farads / ctx.Dt
-		ctx.StampConductance(c.a, c.b, geq)
-		ctx.StampCurrent(c.b, c.a, geq*vPrev+c.iPrev)
-		return
-	}
 	geq := c.farads / ctx.Dt
 	ctx.StampConductance(c.a, c.b, geq)
 	// The companion current source injects geq·vPrev from b to a so that
@@ -122,15 +106,10 @@ func (c *Capacitor) Stamp(ctx *circuit.StampContext) {
 }
 
 // StampStaticA implements circuit.SplitStamper: the companion
-// conductance. Under trapezoidal integration it depends on whether
-// branch-current state exists, which only changes between timesteps.
+// conductance.
 func (c *Capacitor) StampStaticA(ctx *circuit.StampContext) {
 	if ctx.Dt <= 0 {
 		return // open at DC
-	}
-	if ctx.Trapezoidal && c.hasIPrev {
-		ctx.StampConductance(c.a, c.b, 2*c.farads/ctx.Dt)
-		return
 	}
 	ctx.StampConductance(c.a, c.b, c.farads/ctx.Dt)
 }
@@ -143,31 +122,5 @@ func (c *Capacitor) StampStepB(ctx *circuit.StampContext) {
 		return
 	}
 	vPrev := ctx.VPrev(c.a) - ctx.VPrev(c.b)
-	if ctx.Trapezoidal && c.hasIPrev {
-		geq := 2 * c.farads / ctx.Dt
-		ctx.StampCurrent(c.b, c.a, geq*vPrev+c.iPrev)
-		return
-	}
 	ctx.StampCurrent(c.b, c.a, c.farads/ctx.Dt*vPrev)
 }
-
-// Commit implements circuit.Committer: records the branch current of the
-// accepted step for the next trapezoidal companion.
-func (c *Capacitor) Commit(ctx *circuit.StampContext) {
-	if ctx.Dt <= 0 {
-		c.hasIPrev = false
-		return
-	}
-	vN := ctx.V(c.a) - ctx.V(c.b)
-	vPrev := ctx.VPrev(c.a) - ctx.VPrev(c.b)
-	if ctx.Trapezoidal && c.hasIPrev {
-		c.iPrev = 2*c.farads/ctx.Dt*(vN-vPrev) - c.iPrev
-	} else {
-		c.iPrev = c.farads / ctx.Dt * (vN - vPrev)
-	}
-	c.hasIPrev = true
-}
-
-// ResetState clears integration state (used after a forced node-voltage
-// change, which invalidates the stored branch current).
-func (c *Capacitor) ResetState() { c.hasIPrev = false; c.iPrev = 0 }

@@ -95,6 +95,3 @@ func (v *VSource) PinnedValue(t float64) float64 {
 	}
 	return -v.wave.At(t)
 }
-
-// BranchIndex returns the X-vector index holding this source's current.
-func (v *VSource) BranchIndex() int { return v.branch }

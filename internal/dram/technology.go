@@ -130,12 +130,6 @@ func (t Technology) CBLTotal() float64 {
 	return t.CBLPre + t.CBLCell + t.CBLRef + t.CBLSA + t.CBLIO
 }
 
-// TransferRatio returns the cell-to-bit-line charge transfer ratio
-// Cc/(Cc+Cbl), the first-order read signal strength.
-func (t Technology) TransferRatio() float64 {
-	return t.CCell / (t.CCell + t.CBLTotal())
-}
-
 // LogicThreshold is the voltage boundary between logic 0 and 1 used when
 // classifying stored states and output levels. It sits slightly below the
 // precharge level: with the sense amplifier's resolve-to-1 polarity, a

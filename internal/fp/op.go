@@ -59,11 +59,6 @@ func CWBL(data int) Op {
 	return Op{Kind: OpWrite, Data: mustBit(data), Target: TargetBitLine, Completing: true}
 }
 
-// CRBL returns a completing read of a cell on the victim's bit line.
-func CRBL(data int) Op {
-	return Op{Kind: OpRead, Data: mustBit(data), Target: TargetBitLine, Completing: true}
-}
-
 func mustBit(b int) int {
 	if b != 0 && b != 1 {
 		panic(fmt.Sprintf("fp: data value %d out of range", b))

@@ -109,7 +109,7 @@ func CoverageMatrixWith(eng Engine, tests []Test, catalog []CatalogEntry, rows, 
 
 // TwoCellCertificateWith builds the two-cell certificate for one test
 // and geometry using the given backend for the exhaustive simulation
-// half (the static pre-pass half is backend-independent). Entries the
+// half (the static column is backend-independent). Entries the
 // backend does not support (ErrEngineUnsupported — e.g. line-mediated
 // CFst under the bit-plane engine) fall back to the scalar oracle
 // per-entry, so one such entry no longer aborts the whole certificate;
@@ -140,7 +140,7 @@ func twoCellCertificate(eng Engine, t Test, catalog []TwoCellCatalogEntry, rows,
 		return oe.DetectsTwoCellOffsets(t, rows, cols, e, offsets)
 	}
 	for _, e := range catalog {
-		cannot, why := CannotCompleteTwoCell(t, e)
+		cannot, why := cannotCompleteTwoCell(t, e)
 		engine := eng.Name()
 		v, err := detect(eng, e)
 		if errors.Is(err, ErrEngineUnsupported) {

@@ -5,9 +5,10 @@ import "testing"
 // FuzzProveDetects drives the detection prover with parser-accepted
 // march tests and checks its claims against the brute-force simulator:
 // a proved Detects must detect on 2×2 and a proved Misses must catch
-// zero scenarios there, for every paper-catalog fault and a partial
-// two-cell sample. Unknown makes no claim and needs no check; the
-// prover must also never panic on any accepted test.
+// zero scenarios there, for every paper-catalog fault, a classical
+// two-cell sample and every partial two-cell entry. Unknown makes no
+// claim and needs no check; the prover must also never panic on any
+// accepted test.
 func FuzzProveDetects(f *testing.F) {
 	for _, t := range All() {
 		f.Add(t.String())
@@ -19,6 +20,11 @@ func FuzzProveDetects(f *testing.F) {
 	f.Add("{u(w0); u(r0,r0,w1); d(w0,r0)}")
 
 	twos := TwoCellCatalog()[:8]
+	for _, e := range TwoCellCatalog() {
+		if e.Partial {
+			twos = append(twos, e)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, s string) {
 		tst, err := Parse("fuzz", s)

@@ -2,10 +2,11 @@ package march
 
 import "testing"
 
-// FuzzCannotCompleteTwoCell drives the two-cell completion prover with
-// arbitrary march notation. Two properties must hold for any accepted
-// test: the prover never panics, and it stays *sound* against the
-// brute-force simulator — whenever it claims a catalog entry cannot be
+// FuzzCannotCompleteTwoCell drives the two-cell certificate's static
+// column (cannotCompleteTwoCell) with arbitrary march notation. Two
+// properties must hold for any accepted test: the proof never panics,
+// and it stays *sound* against the brute-force simulator — whenever it
+// claims a catalog entry cannot be
 // completed, an exhaustive DetectsTwoCellEntry sweep on a 2×2 array
 // catches zero scenarios. Inputs the parser rejects, and parsed tests
 // large enough to make the exhaustive sweep slow, only exercise the
@@ -36,7 +37,7 @@ func FuzzCannotCompleteTwoCell(f *testing.F) {
 		}
 		verify := tst.Length() <= 12 && len(tst.AnyElements()) <= 3
 		for _, e := range catalog {
-			cannot, why := CannotCompleteTwoCell(tst, e)
+			cannot, why := cannotCompleteTwoCell(tst, e)
 			if !cannot {
 				continue
 			}

@@ -3,44 +3,16 @@ package march
 import (
 	"fmt"
 
-	"github.com/memtest/partialfaults/internal/defect"
-	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/lint"
 )
 
-// This file is the march static-analysis layer: structural lint over
-// march programs (contradictory or premature reads, dead elements,
-// pointless order annotations) and a completion pre-pass that proves —
-// before memsim ever runs — that a march test cannot fire a given
-// partial fault primitive because no operation adjacency realizable
-// under any array geometry drives the completing value at the
-// sensitizing moment.
+// This file is the structural half of the march static-analysis layer:
+// lint over march programs (contradictory or premature reads, dead
+// elements, pointless order annotations). Which faults a test can or
+// cannot detect is the detection prover's question (prove.go).
 
-// unknown mirrors memsim's X for the healthy-state tracker.
+// unknown mirrors memsim's X for the healthy-state trace.
 const unknown = -1
-
-// elemState tracks the healthy cell state through one march test. March
-// semantics make the state uniform across addresses at element
-// boundaries: every address receives the whole op list of an element
-// before the next element starts.
-type tracker struct {
-	state int // uniform healthy cell value entering the next element
-}
-
-// apply advances the tracker through one element and returns the
-// pre-state of every op in its block.
-func (tr *tracker) apply(e Element) []int {
-	pres := make([]int, len(e.Ops))
-	s := tr.state
-	for i, op := range e.Ops {
-		pres[i] = s
-		if !op.Read {
-			s = op.Data
-		}
-	}
-	tr.state = s
-	return pres
-}
 
 // Lint statically checks one march test and reports findings:
 //
@@ -71,11 +43,10 @@ func Lint(t Test) lint.Findings {
 		return out
 	}
 
-	tr := tracker{state: unknown}
+	trs, _ := traceTest(t)
 	wrote := false // has any write happened before the op at hand
 	for ei, e := range t.Elements {
-		in := tr.state
-		pres := tr.apply(e)
+		in, pres := trs[ei].in, trs[ei].pres
 		writesOnly, changed := true, false
 		singleValue := true
 		for oi, op := range e.Ops {
@@ -141,193 +112,6 @@ func LintAll(tests []Test) lint.Findings {
 	var out lint.Findings
 	for _, t := range tests {
 		out = append(out, Lint(t)...)
-	}
-	out.Sort()
-	return out
-}
-
-// CannotComplete statically proves, when it returns true, that the march
-// test can never fire the catalog entry's fault primitive on any array
-// geometry and address-order choice — so a dynamic Detects run is
-// guaranteed to report "not detected". The proof mirrors memsim's
-// adversarial trigger semantics exactly:
-//
-//   - a partial fault fires at a sensitizing victim operation only if the
-//     hidden line state holds the completing value at that moment;
-//   - the bit-line state is the last value driven in the victim's column,
-//     the IO state the last value driven anywhere — and before the first
-//     firing the memory behaves healthily, so every driven value is the
-//     test's own tracked healthy value;
-//   - the only operations that can immediately precede a victim operation
-//     in its column (under some geometry) are the previous op of the same
-//     block, or — at block starts — the final op of the current or
-//     previous element, whose driven value equals that element's final
-//     state;
-//   - unknown (X) line or cell state never satisfies a trigger.
-//
-// A false return claims nothing: the test may or may not detect the
-// fault dynamically.
-func CannotComplete(t Test, e CatalogEntry) (bool, string) {
-	if err := t.Validate(); err != nil {
-		return false, "" // no static claim about structurally invalid tests
-	}
-	if !passesHealthy(t) {
-		// A test that fails on a fault-free memory "detects" every fault
-		// (Detects counts any mismatch), so "cannot fire" would not imply
-		// "cannot detect": claim nothing, for uncompletable entries too.
-		return false, ""
-	}
-	if e.Uncompletable {
-		return true, "the mediating floating voltage (word line) has no completing operation; Table 1's \"Not possible\""
-	}
-	p := e.FP
-	comp := p.S.CompletingOps()
-	if len(comp) == 0 {
-		return false, "" // plain FP: always armed, nothing to complete
-	}
-	sens := p.S.SensitizingOps()
-	if len(sens) != 1 || sens[0].Target != fp.TargetVictim {
-		return false, "" // dynamic or exotic shapes: make no static claim
-	}
-	final := sens[0]
-	victimComp := comp[0].Target == fp.TargetVictim
-
-	// Required victim pre-state at the sensitizing op: reads need the
-	// stored value to equal their data; writes need the FP's initial state.
-	needPre := unknown
-	if final.Kind == fp.OpRead {
-		needPre = final.Data
-	} else {
-		switch p.S.Init {
-		case fp.Init0:
-			needPre = 0
-		case fp.Init1:
-			needPre = 1
-		}
-	}
-
-	// Flatten the test into the victim's healthy operation stream with
-	// driven values (write → data; read → restored healthy state).
-	var stream []sop
-	tr := tracker{state: unknown}
-	prevAfter := unknown
-	for ei, el := range t.Elements {
-		pres := tr.apply(el)
-		for oi, op := range el.Ops {
-			driven := op.Data
-			if op.Read {
-				driven = pres[oi] // the restored value is the healthy state
-			}
-			stream = append(stream, sop{
-				read: op.Read, data: op.Data, pre: pres[oi], driven: driven,
-				elem: ei, idx: oi, elemAfter: tr.state, prevAfter: prevAfter,
-				firstBlock: ei == 0,
-			})
-		}
-		prevAfter = tr.state
-	}
-
-	want := comp[len(comp)-1].Data
-	for j, op := range stream {
-		if op.read != (final.Kind == fp.OpRead) || op.data != final.Data {
-			continue
-		}
-		if op.pre != needPre && needPre != unknown {
-			continue
-		}
-		if op.read && op.pre == unknown {
-			continue // stored X never equals the expected data
-		}
-		if victimComp {
-			// Cell-internal trigger: the victim's own recent operation
-			// values must end with the completing sequence.
-			if victimHistoryEndsWith(stream, j, comp) {
-				return false, ""
-			}
-			continue
-		}
-		// Line trigger: some realizable immediate predecessor in the
-		// victim's column (bit line) or anywhere (IO) must drive `want`.
-		if op.idx > 0 {
-			if stream[j-1].driven == want {
-				return false, ""
-			}
-			continue
-		}
-		if op.elemAfter == want { // an earlier block of the same element
-			return false, ""
-		}
-		if !op.firstBlock && op.prevAfter == want { // previous element's tail
-			return false, ""
-		}
-	}
-	what := "bit line"
-	if !victimComp && isIOTrigger(e) {
-		what = "output buffer"
-	}
-	if victimComp {
-		what = "cell"
-	}
-	return true, fmt.Sprintf("no operation adjacency realizable under any geometry drives the completing value onto the %s at a sensitizing %s", what, final)
-}
-
-// sop is one operation of the victim's healthy stream, annotated with
-// the tracked states the completion proof needs.
-type sop struct {
-	read      bool
-	data      int
-	pre       int // healthy cell state before the op (unknown allowed)
-	driven    int // value the op drives onto the lines
-	elem, idx int
-	// elemAfter is the containing element's final healthy state (what an
-	// earlier block of the same element drives at its boundary);
-	// prevAfter the previous element's (unknown for the first element).
-	elemAfter  int
-	prevAfter  int
-	firstBlock bool
-}
-
-// victimHistoryEndsWith checks whether the victim stream values at
-// positions j-len(comp)..j-1 equal the completing sequence.
-func victimHistoryEndsWith(stream []sop, j int, comp []fp.Op) bool {
-	if j < len(comp) {
-		return false
-	}
-	for i, c := range comp {
-		s := stream[j-len(comp)+i]
-		// memsim records writes by written value and reads by restored
-		// value; unknown never matches.
-		v := s.data
-		if s.read {
-			v = s.pre
-		}
-		if v == unknown || v != c.Data {
-			return false
-		}
-	}
-	return true
-}
-
-// isIOTrigger mirrors memsim's completion classification.
-func isIOTrigger(e CatalogEntry) bool {
-	return e.Float == defect.FloatOutBuffer
-}
-
-// CompletionPrePass evaluates every (test, catalog entry) pair and
-// reports, as informational findings, the pairs a dynamic coverage run
-// need not simulate because the static proof already rules them out.
-func CompletionPrePass(tests []Test, catalog []CatalogEntry) lint.Findings {
-	var out lint.Findings
-	for _, t := range tests {
-		for _, e := range catalog {
-			if cannot, why := CannotComplete(t, e); cannot {
-				out = append(out, lint.Finding{
-					Layer: "march", Rule: "cannot-complete", Severity: lint.Info,
-					Subject: t.Name,
-					Message: fmt.Sprintf("cannot detect %q: %s", e.Name, why),
-				})
-			}
-		}
 	}
 	out.Sort()
 	return out

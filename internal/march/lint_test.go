@@ -100,89 +100,3 @@ func TestLintInvalidTest(t *testing.T) {
 		t.Fatalf("want one invalid-test error, got %v", fs)
 	}
 }
-
-// The completion pre-pass must claim every uncompletable (word-line
-// mediated) entry against every test — Table 1's "Not possible" rows.
-func TestCannotCompleteUncompletable(t *testing.T) {
-	for _, e := range PaperFaultCatalog() {
-		if !e.Uncompletable {
-			continue
-		}
-		for _, tst := range All() {
-			if cannot, _ := CannotComplete(tst, e); !cannot {
-				t.Errorf("%s vs %q: uncompletable entry not claimed", tst.Name, e.Name)
-			}
-		}
-	}
-}
-
-// Soundness: whenever the static pre-pass claims a test cannot complete
-// an FP, the dynamic guarantee run must agree it is not detected — for
-// every geometry tried (including single-column arrays, the geometry
-// most generous to bit-line adjacencies).
-func TestCannotCompleteSoundAgainstDetects(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dynamic cross-check is slow")
-	}
-	geoms := [][2]int{{4, 2}, {4, 1}, {2, 2}}
-	for _, tst := range All() {
-		for _, e := range PaperFaultCatalog() {
-			cannot, _ := CannotComplete(tst, e)
-			if !cannot {
-				continue
-			}
-			for _, g := range geoms {
-				det, caught, _, err := Detects(tst, g[0], g[1], e.Make)
-				if err != nil {
-					t.Fatalf("%s vs %q: %v", tst.Name, e.Name, err)
-				}
-				if det || caught > 0 {
-					t.Errorf("%s vs %q at %dx%d: static claims cannot complete but dynamic caught %d scenarios",
-						tst.Name, e.Name, g[0], g[1], caught)
-				}
-			}
-		}
-	}
-}
-
-// Positive control: the pre-pass must not claim pairs that can fire.
-func TestCannotCompletePositiveControls(t *testing.T) {
-	byName := map[string]CatalogEntry{}
-	for _, e := range PaperFaultCatalog() {
-		byName[e.Name] = e
-	}
-	cases := []struct {
-		test  Test
-		entry string
-	}{
-		// MATS+ ⇓(r1,w0): the block-to-block w0→r1 adjacency completes it.
-		{MATSPlus(), "RDF1 partial (bit line, Opens 3-5)"},
-		// March PF's doubled writes complete the cell-internal RDF pair.
-		{MarchPF(), "RDF0 partial (cell, Open 1)"},
-		{MarchPF(), "RDF1 partial (cell, com. Open 1)"},
-		// March PF detects both transition-fault partials.
-		{MarchPF(), "TF↓ partial (bit line, Open 5)"},
-		{MarchPF(), "TF↑ partial (bit line, com. Open 5)"},
-	}
-	for _, c := range cases {
-		e, ok := byName[c.entry]
-		if !ok {
-			t.Fatalf("catalog entry %q missing", c.entry)
-		}
-		if cannot, why := CannotComplete(c.test, e); cannot {
-			t.Errorf("%s vs %q: wrongly claimed cannot complete (%s)", c.test.Name, c.entry, why)
-		}
-	}
-}
-
-func TestCompletionPrePassSeverity(t *testing.T) {
-	fs := CompletionPrePass(All(), PaperFaultCatalog())
-	if len(fs) == 0 {
-		t.Fatal("pre-pass should report the provably undetectable pairs")
-	}
-	for _, f := range fs {
-		if f.Severity != lint.Info {
-			t.Errorf("pre-pass findings are informational, got %s for %s", f.Severity, f)
-		}
-	}
-}

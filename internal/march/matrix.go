@@ -7,8 +7,7 @@ import (
 )
 
 // DetectionRow is one (test, fault) cell of the three-valued detection
-// matrix: the prover's verdict side by side with the completion
-// pre-pass claim it must subsume.
+// matrix: the prover's verdict with its evidence.
 type DetectionRow struct {
 	// Test and Fault name the pair.
 	Test, Fault string
@@ -17,17 +16,12 @@ type DetectionRow struct {
 	TwoCell, Partial, Uncompletable bool
 	// Proof is the prover's verdict with its evidence.
 	Proof Proof
-	// CannotComplete is the completion pre-pass claim (with its reason):
-	// a true claim must land in the prover's Misses.
-	CannotComplete bool
-	Reason         string
 }
 
 // DetectionMatrix is the full static bracketing of a test library
 // against fault catalogs: every test × every entry, each with a sound
-// three-valued verdict. It subsumes the completion pre-passes — every
-// cannot-complete claim appears as a proved miss — and Drift reports
-// any row where that containment fails.
+// three-valued verdict. Its Misses are the repository's one static
+// answer to "this test can never detect this fault".
 type DetectionMatrix struct {
 	// Tests are the evaluated test names, in order.
 	Tests []string
@@ -42,21 +36,17 @@ func BuildDetectionMatrix(tests []Test, singles []CatalogEntry, twos []TwoCellCa
 	for _, t := range tests {
 		m.Tests = append(m.Tests, t.Name)
 		for _, e := range singles {
-			cannot, why := CannotComplete(t, e)
 			m.Rows = append(m.Rows, DetectionRow{
 				Test: t.Name, Fault: e.Name,
 				Partial: e.Partial, Uncompletable: e.Uncompletable,
-				Proof:          ProveDetects(t, e),
-				CannotComplete: cannot, Reason: why,
+				Proof: ProveDetects(t, e),
 			})
 		}
 		for _, e := range twos {
-			cannot, why := CannotCompleteTwoCell(t, e)
 			m.Rows = append(m.Rows, DetectionRow{
 				Test: t.Name, Fault: e.Name, TwoCell: true,
 				Partial: e.Partial, Uncompletable: e.Uncompletable,
-				Proof:          ProveDetectsTwoCell(t, e),
-				CannotComplete: cannot, Reason: why,
+				Proof: ProveDetectsTwoCell(t, e),
 			})
 		}
 	}
@@ -79,20 +69,6 @@ func (m DetectionMatrix) Counts() (detects, misses, unknowns int) {
 	return
 }
 
-// Drift returns the rows where a completion pre-pass cannot-complete
-// claim is NOT subsumed by a prover Misses verdict. A sound pair of
-// analyses yields none: "the fault can never fire" implies "the test
-// never mismatches", which the prover must confirm.
-func (m DetectionMatrix) Drift() []DetectionRow {
-	var out []DetectionRow
-	for _, r := range m.Rows {
-		if r.CannotComplete && r.Proof.Verdict != VerdictMisses {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // rowsFor returns the matrix rows of one test, in catalog order.
 func (m DetectionMatrix) rowsFor(test string) []DetectionRow {
 	var out []DetectionRow
@@ -109,35 +85,21 @@ func (m DetectionMatrix) rowsFor(test string) []DetectionRow {
 //
 //   - one Info summary per test ("detection-matrix") with its verdict
 //     tally,
-//   - an Info per proved miss the completion pre-passes did NOT already
-//     claim ("proved-miss") — the prover's added value over the
-//     cannot-complete analyses,
-//   - an Error per drift row ("prover-prepass-drift"), i.e. a
-//     cannot-complete claim the prover failed to confirm as a miss; a
-//     sound build emits none.
+//   - one Info per proved miss ("proved-miss") with the prover's
+//     witness: the (test, fault) pairs no dynamic run needs to simulate.
 func DetectionPrePass(tests []Test, singles []CatalogEntry, twos []TwoCellCatalogEntry) lint.Findings {
 	m := BuildDetectionMatrix(tests, singles, twos)
 	var out lint.Findings
 	for _, name := range m.Tests {
 		rows := m.rowsFor(name)
-		d, miss, u := 0, 0, 0
-		for _, r := range rows {
-			switch r.Proof.Verdict {
-			case VerdictDetects:
-				d++
-			case VerdictMisses:
-				miss++
-			default:
-				u++
-			}
-		}
+		d, miss, u := DetectionMatrix{Rows: rows}.Counts()
 		out = append(out, lint.Finding{
 			Layer: "march", Rule: "detection-matrix", Severity: lint.Info,
 			Subject: name,
 			Message: fmt.Sprintf("static detection verdicts over %d catalog entries: %d proved detected, %d proved missed, %d unknown", len(rows), d, miss, u),
 		})
 		for _, r := range rows {
-			if r.Proof.Verdict == VerdictMisses && !r.CannotComplete {
+			if r.Proof.Verdict == VerdictMisses {
 				out = append(out, lint.Finding{
 					Layer: "march", Rule: "proved-miss", Severity: lint.Info,
 					Subject: name,
@@ -145,13 +107,6 @@ func DetectionPrePass(tests []Test, singles []CatalogEntry, twos []TwoCellCatalo
 				})
 			}
 		}
-	}
-	for _, r := range m.Drift() {
-		out = append(out, lint.Finding{
-			Layer: "march", Rule: "prover-prepass-drift", Severity: lint.Error,
-			Subject: r.Test,
-			Message: fmt.Sprintf("completion pre-pass claims %q can never fire, but the prover verdict is %s — the static analyses disagree", r.Fault, r.Proof.Verdict),
-		})
 	}
 	out.Sort()
 	return out

@@ -6,11 +6,11 @@ import (
 	"github.com/memtest/partialfaults/internal/memsim"
 )
 
-// This file is the positive half of the march static-analysis layer: a
-// detection *prover* that complements the completion pre-pass
-// (CannotComplete). Where the pre-pass only proves the negative
-// direction — "this fault can never fire, so the test cannot detect it"
-// — the prover returns a three-valued verdict:
+// This file is the semantic half of the march static-analysis layer
+// (lint.go is the structural half): a detection *prover*, the one
+// static answer to "can this test detect this fault?". Rather than only
+// the negative direction — "this fault can never fire, so the test
+// cannot detect it" — it returns a three-valued verdict:
 //
 //   - VerdictDetects: on EVERY array geometry (rows ≥ 2, cols ≥ 2),
 //     victim position and ⇕-order assignment, the test run yields at

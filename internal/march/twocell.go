@@ -109,7 +109,7 @@ type TwoCellCoverage struct {
 }
 
 // TwoCellCertRow records one catalog entry's verdict in a coverage
-// certificate: the static pre-pass claim (with its reason) side by side
+// certificate: the static cannot-fire claim (with its reason) side by side
 // with the brute-force simulation result.
 type TwoCellCertRow struct {
 	// Entry is the catalog entry name; Class its coupling-fault class.
@@ -117,7 +117,7 @@ type TwoCellCertRow struct {
 	Class fp.CFKind
 	// Partial marks a floating-line-mediated entry.
 	Partial bool
-	// ProvedMiss and Reason carry the CannotCompleteTwoCell verdict.
+	// ProvedMiss and Reason carry the cannotCompleteTwoCell verdict.
 	ProvedMiss bool
 	Reason     string
 	// Detected, Caught and Scenarios carry the DetectsTwoCellEntry
@@ -133,7 +133,7 @@ type TwoCellCertRow struct {
 
 // TwoCellCertificate is a test's two-cell coverage certificate on one
 // geometry: every catalog entry's static claim checked against the
-// exhaustive simulation. A sound pre-pass yields no row where a proved
+// exhaustive simulation. A sound static column yields no row where a proved
 // miss was nevertheless caught.
 type TwoCellCertificate struct {
 	Test       string

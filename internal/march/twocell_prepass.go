@@ -5,15 +5,17 @@ import (
 
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
-	"github.com/memtest/partialfaults/internal/lint"
 	"github.com/memtest/partialfaults/internal/memsim"
 )
 
-// This file is the two-cell analogue of the completion pre-pass in
-// lint.go: a static prover that a march test can never fire a given
-// coupling fault — classical or partial — on any array geometry,
-// address-order assignment, or (aggressor, victim) address pair, so a
-// dynamic DetectsTwoCell sweep need not run.
+// This file holds the two-cell fault catalog, the healthy per-element
+// trace that Lint and the detection prover walk, and
+// cannotCompleteTwoCell: the static "cannot fire" proof behind the
+// two-cell certificate's ProvedMiss/Reason column. The detection prover
+// (prove_twocell.go) answers the same question with a proved Misses
+// verdict and is the only static analysis everywhere else; this proof
+// is retained only because the march-bitplane benchmark digest pins the
+// certificate's reason strings, until a benchmark change re-pins it.
 //
 // The proof rests on the uniform-state invariant of march semantics:
 // every address receives the whole op list of an element before the
@@ -27,10 +29,10 @@ import (
 // on a healthy memory reports zero mismatches — hence "cannot fire"
 // implies "cannot detect". That last step forces one guard: a test that
 // *fails* on a fault-free memory (a contradictory read) "detects"
-// every fault, so the prover claims nothing for such tests.
+// every fault, so the proof claims nothing for such tests.
 
 // TwoCellCatalogEntry is one injectable two-cell (coupling) fault for
-// coverage evaluation and the static pre-pass: a classical always-armed
+// coverage evaluation and static analysis: a classical always-armed
 // FP, or a *partial* coupling FP in completed form whose firing is
 // additionally mediated by a floating line.
 type TwoCellCatalogEntry struct {
@@ -180,13 +182,7 @@ func traceTest(t Test) ([]elemTrace, bool) {
 	return trs, healthy
 }
 
-// passesHealthy reports whether the test passes on a fault-free memory.
-func passesHealthy(t Test) bool {
-	_, healthy := traceTest(t)
-	return healthy
-}
-
-// CannotCompleteTwoCell statically proves, when it returns true, that
+// cannotCompleteTwoCell statically proves, when it returns true, that
 // the march test can never fire the catalog entry's coupling fault —
 // for any geometry, any ⇑/⇓/⇕ order assignment, any (aggressor, victim)
 // pair and either address relation — so DetectsTwoCellEntry is
@@ -201,7 +197,13 @@ func passesHealthy(t Test) bool {
 // to the set of values a realizable immediately-preceding operation can
 // have driven — the same-cell predecessor's value mid-block, or the
 // current/previous element's exit state at block boundaries.
-func CannotCompleteTwoCell(t Test, e TwoCellCatalogEntry) (bool, string) {
+//
+// Its only caller is twoCellCertificate, which fills the pinned
+// ProvedMiss/Reason column with it. Every claim it makes is also a
+// ProveDetectsTwoCell Misses verdict; it is retained only until a
+// benchmark change re-pins the march-bitplane digest, after which the
+// column can come from the prover and this proof can go.
+func cannotCompleteTwoCell(t Test, e TwoCellCatalogEntry) (bool, string) {
 	if err := t.Validate(); err != nil {
 		return false, "" // no static claim about structurally invalid tests
 	}
@@ -368,25 +370,4 @@ func floatName(v defect.FloatVar) string {
 	default:
 		return "bit line"
 	}
-}
-
-// TwoCellCompletionPrePass evaluates every (test, catalog entry) pair
-// and reports, as informational findings, the coupling faults a dynamic
-// DetectsTwoCell sweep need not simulate because the static proof
-// already rules them out.
-func TwoCellCompletionPrePass(tests []Test, catalog []TwoCellCatalogEntry) lint.Findings {
-	var out lint.Findings
-	for _, t := range tests {
-		for _, e := range catalog {
-			if cannot, why := CannotCompleteTwoCell(t, e); cannot {
-				out = append(out, lint.Finding{
-					Layer: "march", Rule: "cannot-complete-twocell", Severity: lint.Info,
-					Subject: t.Name,
-					Message: fmt.Sprintf("cannot detect %q: %s", e.Name, why),
-				})
-			}
-		}
-	}
-	out.Sort()
-	return out
 }

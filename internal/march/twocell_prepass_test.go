@@ -62,7 +62,7 @@ func TestCannotCompleteTwoCellSoundAgainstDetects(t *testing.T) {
 	claims := 0
 	for _, tst := range All() {
 		for _, e := range catalog {
-			cannot, why := CannotCompleteTwoCell(tst, e)
+			cannot, why := cannotCompleteTwoCell(tst, e)
 			if !cannot {
 				continue
 			}
@@ -99,7 +99,7 @@ func TestCannotCompleteTwoCellPositiveControls(t *testing.T) {
 		if e.Partial {
 			continue
 		}
-		if cannot, why := CannotCompleteTwoCell(MarchSS(), e); cannot {
+		if cannot, why := cannotCompleteTwoCell(MarchSS(), e); cannot {
 			t.Errorf("March SS claimed for %s (%s) although it detects all 36 static FPs", e.Name, why)
 		}
 	}
@@ -113,7 +113,7 @@ func TestCannotCompleteTwoCellPositiveControls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cannot, _ := CannotCompleteTwoCell(MarchCMinus(), e)
+		cannot, _ := cannotCompleteTwoCell(MarchCMinus(), e)
 		if det && cannot {
 			t.Errorf("March C- detects %s on 2x2 yet the pre-pass claims it cannot", e.Name)
 		}
@@ -130,7 +130,7 @@ func TestCannotCompleteTwoCellPositiveControls(t *testing.T) {
 		nonTransDs := k == fp.CFds && e.FP.AggOp.Kind == fp.OpWrite && e.FP.AggOp.Data == e.FP.AggState
 		if k == fp.CFwd || nonTransDs {
 			wantClaims++
-			if cannot, _ := CannotCompleteTwoCell(MarchCMinus(), e); !cannot {
+			if cannot, _ := cannotCompleteTwoCell(MarchCMinus(), e); !cannot {
 				t.Errorf("expected March C- claim for %s (no non-transition write exists), got none", e.Name)
 			}
 		}
@@ -148,7 +148,7 @@ func TestCannotCompleteTwoCellUncompletable(t *testing.T) {
 			continue
 		}
 		for _, tst := range All() {
-			cannot, why := CannotCompleteTwoCell(tst, e)
+			cannot, why := cannotCompleteTwoCell(tst, e)
 			if !cannot {
 				t.Errorf("%s: uncompletable %s not claimed", tst.Name, e.Name)
 			}
@@ -167,19 +167,13 @@ func TestCannotCompleteTwoCellUncompletable(t *testing.T) {
 }
 
 // TestCannotCompleteTwoCellContradictoryGuard: a test that fails on
-// fault-free memory "detects" everything, so the prover must claim
-// nothing for it — including uncompletable entries. The same guard now
-// protects the single-cell prover.
+// fault-free memory "detects" everything, so the proof must claim
+// nothing for it — including uncompletable entries.
 func TestCannotCompleteTwoCellContradictoryGuard(t *testing.T) {
 	bad := MustParse("bad", "{m(w0); u(r1)}")
 	for _, e := range TwoCellCatalog() {
-		if cannot, _ := CannotCompleteTwoCell(bad, e); cannot {
+		if cannot, _ := cannotCompleteTwoCell(bad, e); cannot {
 			t.Errorf("claimed %s for a test that fails on fault-free memory", e.Name)
-		}
-	}
-	for _, e := range PaperFaultCatalog() {
-		if cannot, _ := CannotComplete(bad, e); cannot {
-			t.Errorf("single-cell prover claimed %s for a test that fails on fault-free memory", e.Name)
 		}
 	}
 }
@@ -202,7 +196,7 @@ func TestCannotCompleteTwoCellOrderSplitInvariance(t *testing.T) {
 	catalog := TwoCellCatalog()
 	check := func(tst Test) {
 		for _, e := range catalog {
-			cannot, _ := CannotCompleteTwoCell(tst, e)
+			cannot, _ := cannotCompleteTwoCell(tst, e)
 			if !cannot {
 				continue
 			}
@@ -212,7 +206,7 @@ func TestCannotCompleteTwoCellOrderSplitInvariance(t *testing.T) {
 				}
 				for _, o := range []Order{Up, Down} {
 					split := withElementOrder(tst, i, o)
-					if c2, _ := CannotCompleteTwoCell(split, e); !c2 {
+					if c2, _ := cannotCompleteTwoCell(split, e); !c2 {
 						t.Errorf("%s: claim for %s lost when element %d is split to %v", tst.Name, e.Name, i, o)
 					}
 				}
@@ -225,29 +219,6 @@ func TestCannotCompleteTwoCellOrderSplitInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 25; i++ {
 		check(randomConsistentTest(rng))
-	}
-}
-
-// TestTwoCellCompletionPrePassFindings: the pre-pass emits Info
-// findings with the dedicated rule, and March X provably misses a CFds
-// (it has no non-transition write), which is the seed pflint -selftest
-// relies on.
-func TestTwoCellCompletionPrePassFindings(t *testing.T) {
-	fs := TwoCellCompletionPrePass([]Test{MarchX()}, TwoCellCatalog())
-	if len(fs) == 0 {
-		t.Fatal("no findings for March X")
-	}
-	sawCFds := false
-	for _, f := range fs {
-		if f.Rule != "cannot-complete-twocell" {
-			t.Errorf("unexpected rule %q", f.Rule)
-		}
-		if strings.Contains(f.Message, "CFds") {
-			sawCFds = true
-		}
-	}
-	if !sawCFds {
-		t.Error("March X pre-pass does not flag any CFds miss")
 	}
 }
 

@@ -37,8 +37,6 @@ type Array struct {
 	// ioState is the hidden output-buffer/IO proxy: the last value
 	// driven through the IO path by any operation.
 	ioState int
-	// ops counts operations performed (diagnostics).
-	ops int
 }
 
 // NewArray builds an array with all cells and hidden state unknown.
@@ -84,9 +82,6 @@ func (a *Array) Cell(addr int) int {
 	return a.cells[addr]
 }
 
-// OpCount returns the number of operations performed so far.
-func (a *Array) OpCount() int { return a.ops }
-
 // CheckAddr reports whether an address is inside the array, as an error
 // suitable for callers that drive the array from computed address
 // streams (the march runner). The internal accessors keep panicking on
@@ -112,7 +107,6 @@ func (a *Array) Write(addr, bit int) {
 	if bit != 0 && bit != 1 {
 		panic(fmt.Sprintf("memsim: write data %d out of range", bit))
 	}
-	a.ops++
 	if a.remappedWrite(addr, bit) {
 		a.applyStateFaults()
 		return
@@ -152,7 +146,6 @@ func (a *Array) Write(addr, bit int) {
 // delivers (fault effects included).
 func (a *Array) Read(addr int) int {
 	a.check(addr)
-	a.ops++
 	if v, ok := a.remappedRead(addr); ok {
 		if v != X {
 			a.blState[a.Column(addr)] = v

@@ -15,9 +15,7 @@ import (
 // everywhere) or ? (neither proven; detection may be geometry- or
 // placement-dependent). When the matrix covers a single test, each
 // verdict's evidence is printed too: the proof trace of a D, the
-// witness scenario of an M. A drift row — a completion-pre-pass
-// cannot-complete claim the prover did not confirm as M — marks the
-// certificate unsound.
+// witness scenario of an M.
 func WriteDetectionMatrix(w io.Writer, m march.DetectionMatrix) error {
 	det, miss, unk := m.Counts()
 	if _, err := fmt.Fprintf(w, "static detection matrix — %d tests × %d faults: %d proved detected, %d proved missed, %d unknown\n",
@@ -98,19 +96,7 @@ func WriteDetectionMatrix(w io.Writer, m march.DetectionMatrix) error {
 			}
 		}
 	}
-
-	if drift := m.Drift(); len(drift) > 0 {
-		for _, r := range drift {
-			if _, err := fmt.Fprintf(w, "DRIFT: %s vs %s — completion pre-pass proves it cannot fire, prover verdict %s\n",
-				r.Test, r.Fault, r.Proof.Verdict); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintln(w, "certificate: UNSOUND — the completion pre-pass and the detection prover disagree")
-		return err
-	}
-	_, err := fmt.Fprintln(w, "certificate: sound (every cannot-complete claim is a proved miss)")
-	return err
+	return nil
 }
 
 // matrixFaultCount returns the number of distinct faults in the matrix.

@@ -8,8 +8,7 @@ import (
 )
 
 // TestWriteDetectionMatrixSingleTest: single-test mode prints the grid
-// plus per-verdict evidence and the soundness certificate for the real
-// March PF paper column.
+// plus per-verdict evidence for the real March PF paper column.
 func TestWriteDetectionMatrixSingleTest(t *testing.T) {
 	m := march.BuildDetectionMatrix([]march.Test{march.MarchPF()}, march.PaperFaultCatalog(), nil)
 	var sb strings.Builder
@@ -24,14 +23,13 @@ func TestWriteDetectionMatrixSingleTest(t *testing.T) {
 		"| WDF1 partial (bit line, Open 4) | M |",
 		"  D RDF0 partial (cell, Open 1): sensitized at element",
 		"  M WDF1 partial (bit line, Open 4):",
-		"certificate: sound (every cannot-complete claim is a proved miss)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "DRIFT") {
-		t.Errorf("unexpected drift on the real catalog:\n%s", out)
+	if strings.Contains(out, "certificate") {
+		t.Errorf("the prover is the only static analysis; nothing to certify against:\n%s", out)
 	}
 }
 
@@ -50,26 +48,5 @@ func TestWriteDetectionMatrixMultiTest(t *testing.T) {
 	}
 	if strings.Contains(out, "  D ") || strings.Contains(out, "  M ") {
 		t.Errorf("evidence lines must only appear in single-test mode:\n%s", out)
-	}
-}
-
-// TestWriteDetectionMatrixDrift: a fabricated drift row must be
-// reported and flip the certificate to UNSOUND.
-func TestWriteDetectionMatrixDrift(t *testing.T) {
-	m := march.DetectionMatrix{
-		Tests: []string{"T"},
-		Rows: []march.DetectionRow{{
-			Test: "T", Fault: "F",
-			Proof:          march.Proof{Verdict: march.VerdictDetects},
-			CannotComplete: true,
-		}},
-	}
-	var sb strings.Builder
-	if err := WriteDetectionMatrix(&sb, m); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "DRIFT: T vs F") || !strings.Contains(out, "certificate: UNSOUND") {
-		t.Errorf("drift not reported:\n%s", out)
 	}
 }

@@ -1,8 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 
 	"github.com/memtest/partialfaults/internal/analysis"
@@ -43,11 +41,6 @@ func ToInventoryJSON(rows []analysis.Row) []InventoryRowJSON {
 	return out
 }
 
-// WriteInventoryJSON emits the inventory as a JSON array.
-func WriteInventoryJSON(w io.Writer, rows []analysis.Row) error {
-	return json.NewEncoder(w).Encode(ToInventoryJSON(rows))
-}
-
 // CoverageRowJSON is one (test, fault) coverage cell.
 type CoverageRowJSON struct {
 	Test      string `json:"test"`
@@ -70,11 +63,6 @@ func ToCoverageJSON(results []march.CoverageResult) []CoverageRowJSON {
 		})
 	}
 	return out
-}
-
-// WriteCoverageJSON emits a coverage matrix as a JSON array.
-func WriteCoverageJSON(w io.Writer, results []march.CoverageResult) error {
-	return json.NewEncoder(w).Encode(ToCoverageJSON(results))
 }
 
 // TwoCellCertRowJSON is one certificate row.
@@ -118,37 +106,29 @@ func ToTwoCellCertificateJSON(c march.TwoCellCertificate) TwoCellCertificateJSON
 	return out
 }
 
-// WriteTwoCellCertificateJSON emits a certificate as one JSON object.
-func WriteTwoCellCertificateJSON(w io.Writer, c march.TwoCellCertificate) error {
-	return json.NewEncoder(w).Encode(ToTwoCellCertificateJSON(c))
-}
-
 // DetectionRowJSON is one (test, fault) cell of the static detection
 // matrix.
 type DetectionRowJSON struct {
-	Test           string `json:"test"`
-	Fault          string `json:"fault"`
-	TwoCell        bool   `json:"two_cell"`
-	Partial        bool   `json:"partial"`
-	Uncompletable  bool   `json:"uncompletable"`
-	Verdict        string `json:"verdict"`
-	Trace          string `json:"trace,omitempty"`
-	Witness        string `json:"witness,omitempty"`
-	Scenarios      int    `json:"scenarios"`
-	Detecting      int    `json:"detecting"`
-	CannotComplete bool   `json:"cannot_complete"`
-	Reason         string `json:"reason,omitempty"`
+	Test          string `json:"test"`
+	Fault         string `json:"fault"`
+	TwoCell       bool   `json:"two_cell"`
+	Partial       bool   `json:"partial"`
+	Uncompletable bool   `json:"uncompletable"`
+	Verdict       string `json:"verdict"`
+	Trace         string `json:"trace,omitempty"`
+	Witness       string `json:"witness,omitempty"`
+	Scenarios     int    `json:"scenarios"`
+	Detecting     int    `json:"detecting"`
 }
 
 // DetectionMatrixJSON is the matrix's JSON view with the verdict tally
-// and drift rows precomputed.
+// precomputed.
 type DetectionMatrixJSON struct {
 	Tests    []string           `json:"tests"`
 	Rows     []DetectionRowJSON `json:"rows"`
 	Detects  int                `json:"detects"`
 	Misses   int                `json:"misses"`
 	Unknowns int                `json:"unknowns"`
-	Drift    []string           `json:"drift,omitempty"`
 }
 
 // ToDetectionMatrixJSON converts a detection matrix to its JSON view.
@@ -161,22 +141,13 @@ func ToDetectionMatrixJSON(m march.DetectionMatrix) DetectionMatrixJSON {
 			TwoCell: r.TwoCell, Partial: r.Partial, Uncompletable: r.Uncompletable,
 			Verdict: r.Proof.Verdict.String(), Witness: r.Proof.Witness,
 			Scenarios: r.Proof.Scenarios, Detecting: r.Proof.Detecting,
-			CannotComplete: r.CannotComplete, Reason: r.Reason,
 		}
 		if r.Proof.Trace != nil {
 			row.Trace = r.Proof.Trace.String()
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	for _, d := range m.Drift() {
-		out.Drift = append(out.Drift, d.Test+" × "+d.Fault)
-	}
 	return out
-}
-
-// WriteDetectionMatrixJSON emits the matrix as one JSON object.
-func WriteDetectionMatrixJSON(w io.Writer, m march.DetectionMatrix) error {
-	return json.NewEncoder(w).Encode(ToDetectionMatrixJSON(m))
 }
 
 // jsonVolt converts a possibly-NaN voltage to a nullable JSON value
@@ -289,11 +260,6 @@ func ToMergePredictionJSON(p netlint.MergePrediction) MergePredictionJSON {
 	return out
 }
 
-// WriteMergePredictionJSON emits the prediction as one JSON object.
-func WriteMergePredictionJSON(w io.Writer, p netlint.MergePrediction) error {
-	return json.NewEncoder(w).Encode(ToMergePredictionJSON(p))
-}
-
 // FindingJSON is one static-analysis finding.
 type FindingJSON struct {
 	Layer    string `json:"layer"`
@@ -314,9 +280,4 @@ func ToFindingsJSON(fs lint.Findings, minSev lint.Severity) []FindingJSON {
 		})
 	}
 	return out
-}
-
-// WriteFindingsJSON emits findings as a JSON array.
-func WriteFindingsJSON(w io.Writer, fs lint.Findings, minSev lint.Severity) error {
-	return json.NewEncoder(w).Encode(ToFindingsJSON(fs, minSev))
 }

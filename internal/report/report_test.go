@@ -118,7 +118,7 @@ func TestWriteFindings(t *testing.T) {
 	fs := lint.Findings{
 		{Layer: "netlist", Rule: "floating-net", Severity: lint.Error, Subject: "btX", Message: "no DC path"},
 		{Layer: "march", Rule: "leading-read", Severity: lint.Warning, Subject: "Bad", Message: "reads first"},
-		{Layer: "march", Rule: "cannot-complete", Severity: lint.Info, Subject: "MATS+", Message: "pre-pass"},
+		{Layer: "march", Rule: "proved-miss", Severity: lint.Info, Subject: "MATS+", Message: "never detects"},
 	}
 	fs.Sort()
 
@@ -127,7 +127,7 @@ func TestWriteFindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := full.String()
-	for _, want := range []string{"[netlist]", "[march]", "floating-net", "leading-read", "cannot-complete",
+	for _, want := range []string{"[netlist]", "[march]", "floating-net", "leading-read", "proved-miss",
 		"1 error, 1 warning, 1 info finding"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("full output missing %q:\n%s", want, out)
@@ -139,7 +139,7 @@ func TestWriteFindings(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = filtered.String()
-	if strings.Contains(out, "cannot-complete") {
+	if strings.Contains(out, "proved-miss") {
 		t.Errorf("info finding printed above threshold:\n%s", out)
 	}
 	if !strings.Contains(out, "(1 below the reporting threshold)") {

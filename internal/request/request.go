@@ -229,11 +229,22 @@ type Grid struct {
 	USteps    int       `json:"u_steps,omitempty"`
 }
 
+// maxAxisPoints caps every grid axis, explicit or derived from a step
+// count. The largest axis the repository sweeps has 25 points; the cap
+// only stops a tiny body from asking for an unbounded allocation.
+const maxAxisPoints = 256
+
 // Normalize derives the explicit axes — a zero triple field takes the
 // Table 1 default (1 kΩ…10 MΩ in 13 steps, 0…3.3 V in 12) — and zeroes
 // the consumed triples, so every spelling of one grid encodes the same.
-// Resistances must be positive and every value finite.
+// Step counts must not be negative, no axis may exceed maxAxisPoints,
+// resistances must be positive and every value finite.
 func (g *Grid) Normalize() error {
+	for _, n := range []int{g.RDefSteps, g.USteps, len(g.RDefs), len(g.Us)} {
+		if n < 0 || n > maxAxisPoints {
+			return badRequest("a grid axis takes 1 to %d points (a zero step count takes the default), not %d", maxAxisPoints, n)
+		}
+	}
 	if len(g.RDefs) == 0 {
 		if g.RDefMin < 0 || g.RDefMax < 0 {
 			return badRequest("rdef_min and rdef_max must be positive")

@@ -192,6 +192,11 @@ func TestNormalizeRejects(t *testing.T) {
 		{"inventory", `{"rdef_min":-1}`},
 		{"inventory", `{"rdefs":[0]}`},
 		{"inventory", `{"u_min":-1e308,"u_max":1e308,"u_steps":3}`},
+		{"inventory", `{"opens":[4],"rdef_steps":-1,"u_steps":2}`},
+		{"inventory", `{"u_steps":-3}`},
+		{"inventory", `{"rdef_steps":100000}`},
+		{"inventory", `{"us":[` + strings.Repeat("0,", maxAxisPoints) + `0]}`},
+		{"inventory", `{"rdefs":[` + strings.Repeat("1e4,", maxAxisPoints) + `1e4]}`},
 		{"coverage", `{"engine":"quantum"}`},
 		{"coverage", `{"tests":["March ZZ"]}`},
 		{"coverage", `{"catalog":"imaginary"}`},
@@ -211,6 +216,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"stress", `{"march_engine":"quantum"}`},
 		{"stress", `{"sweep":"sideways"}`},
 		{"stress", `{"rdef_max":-5}`},
+		{"stress", `{"u_steps":-1}`},
 		{"stress", `{"opens":[99]}`},
 		{"stress", `{"tests":["March ZZ"]}`},
 	}

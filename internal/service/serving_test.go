@@ -174,7 +174,10 @@ func TestBadGridRejected(t *testing.T) {
 		{"/v1/inventory", `{"rdef_min":-1}`},
 		{"/v1/inventory", `{"rdefs":[0,1e4]}`},
 		{"/v1/inventory", `{"u_min":-1e308,"u_max":1e308,"u_steps":3}`},
+		{"/v1/inventory", `{"opens":[4],"rdef_steps":-1,"u_steps":2}`},
+		{"/v1/inventory", `{"us":[` + strings.Repeat("0,", 1000) + `0]}`},
 		{"/v1/stress", `{"rdef_max":-5}`},
+		{"/v1/stress", `{"u_steps":-2}`},
 	} {
 		if code, buf := post(t, s, c.path, c.body); code != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d (%s), want 400", c.path, c.body, code, buf)

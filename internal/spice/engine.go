@@ -53,12 +53,6 @@ type Options struct {
 	// MaxStepVoltage limits the per-iteration voltage update to damp
 	// Newton on strongly nonlinear steps (sense-amp regeneration).
 	MaxStepVoltage float64
-	// Trapezoidal selects trapezoidal integration for reactive elements
-	// (second-order accurate) instead of backward Euler (first-order,
-	// maximally damped). The DRAM analyses use BE — the stiff defect RC
-	// networks favour damping — but the trapezoidal option is validated
-	// against analytic responses in the engine tests.
-	Trapezoidal bool
 }
 
 // DefaultOptions returns the options used throughout the repository.
@@ -73,10 +67,6 @@ func DefaultOptions() Options {
 
 // ErrNoConvergence is returned when Newton iteration fails to converge.
 var ErrNoConvergence = errors.New("spice: Newton iteration did not converge")
-
-// resetter is the optional element interface for clearing integration
-// state after a forced state change.
-type resetter interface{ ResetState() }
 
 // pinnedNode is one eliminated grounded-source node.
 type pinnedNode struct {
@@ -98,10 +88,8 @@ type Engine struct {
 	xPrev []float64
 
 	// Element classification, computed once at construction.
-	split      []circuit.SplitStamper // linear: cached A, per-step B
-	dynamic    []circuit.Element      // nonlinear: restamped per iteration
-	committers []circuit.Committer
-	stateful   []resetter
+	split   []circuit.SplitStamper // linear: cached A, per-step B
+	dynamic []circuit.Element      // nonlinear: restamped per iteration
 
 	// Grounded-source elimination.
 	pinned  []pinnedNode
@@ -184,8 +172,8 @@ func MustNewEngine(ckt *circuit.Circuit, opts Options) *Engine {
 }
 
 // classify partitions the elements into linear (split-stampable) and
-// nonlinear sets, collects committers and stateful elements, and works
-// out which unknowns grounded sources eliminate.
+// nonlinear sets and works out which unknowns grounded sources
+// eliminate.
 func (e *Engine) classify() {
 	// A node is only eliminable when exactly one grounded source forces
 	// it; two sources on one node is a source loop (netlint flags it)
@@ -201,12 +189,6 @@ func (e *Engine) classify() {
 	}
 	eliminated := make(map[int]bool) // x indices removed from the solve
 	for _, el := range e.ckt.Elements() {
-		if cm, ok := el.(circuit.Committer); ok {
-			e.committers = append(e.committers, cm)
-		}
-		if r, ok := el.(resetter); ok {
-			e.stateful = append(e.stateful, r)
-		}
 		if gs, ok := el.(circuit.GroundedSource); ok {
 			if node, branch, ok := gs.PinnedNode(); ok && forced[node] == 1 {
 				e.pinned = append(e.pinned, pinnedNode{node: node, branch: branch, src: gs})
@@ -239,10 +221,6 @@ func (e *Engine) classify() {
 // Time returns the current simulation time.
 func (e *Engine) Time() float64 { return e.time }
 
-// SetTime resets the simulation clock (used when restarting a stimulus
-// schedule on a reused engine).
-func (e *Engine) SetTime(t float64) { e.time = t }
-
 // Voltage returns the node voltage of the named net in the current
 // solution. It panics if the net does not exist.
 func (e *Engine) Voltage(net string) float64 {
@@ -260,10 +238,6 @@ func (e *Engine) voltageAt(idx int) float64 {
 	return e.x[idx-1]
 }
 
-// VoltageFn returns an accessor closure over the current solution,
-// suitable for device current queries.
-func (e *Engine) VoltageFn() func(int) float64 { return e.voltageAt }
-
 // SetNodeVoltage forcibly sets a node voltage in the engine state. This
 // implements the paper's fault-analysis methodology of *initializing
 // floating voltages* (Section 2): before applying an operation, the
@@ -278,11 +252,6 @@ func (e *Engine) SetNodeVoltage(net string, v float64) {
 		panic("spice: cannot set ground voltage")
 	}
 	e.x[idx-1] = v
-	// A forced state change invalidates stored integration state; the
-	// stateful set is precomputed instead of rescanning every element.
-	for _, r := range e.stateful {
-		r.ResetState()
-	}
 }
 
 // InvalidateStamps discards the cached static stamp. Callers must invoke
@@ -298,17 +267,13 @@ func (e *Engine) InvalidateStamps() {
 }
 
 // Reset returns the engine to the state of a freshly constructed one:
-// zero solution vector, zero clock, element integration state cleared,
-// caches dropped. Column pooling uses it to recycle engines across
+// zero solution vector, zero clock, caches dropped. Column pooling uses it to recycle engines across
 // sweep grid points.
 func (e *Engine) Reset() {
 	for i := range e.x {
 		e.x[i] = 0
 	}
 	e.time = 0
-	for _, r := range e.stateful {
-		r.ResetState()
-	}
 	e.InvalidateStamps()
 }
 
@@ -321,24 +286,15 @@ func (e *Engine) State() ([]float64, float64) {
 	return x, e.time
 }
 
-// RestoreState reinstates a solution vector and clock captured by State.
-// Element integration state is cleared, exactly as after a forced node
-// initialization; under backward Euler the (x, time, waveforms) triple
-// fully determines all subsequent behaviour. It panics under trapezoidal
-// integration, where capacitor branch currents are genuine state that
-// State does not capture.
+// RestoreState reinstates a solution vector and clock captured by State;
+// under backward Euler the (x, time, waveforms) triple fully determines
+// all subsequent behaviour.
 func (e *Engine) RestoreState(x []float64, t float64) {
-	if e.opts.Trapezoidal {
-		panic("spice: RestoreState is only valid under backward Euler")
-	}
 	if len(x) != len(e.x) {
 		panic("spice: RestoreState dimension mismatch")
 	}
 	copy(e.x, x)
 	e.time = t
-	for _, r := range e.stateful {
-		r.ResetState()
-	}
 }
 
 // FactorizationCounts returns how many LU factorizations ran and how
@@ -348,17 +304,13 @@ func (e *Engine) FactorizationCounts() (factorized, bypassed uint64) {
 }
 
 // refreshStatic rebuilds the cached static stamp when the dt regime
-// changed or the cache was invalidated. Under trapezoidal integration
-// capacitor companion conductances depend on per-step element state, so
-// the static stamp is rebuilt every solve.
+// changed or the cache was invalidated.
 func (e *Engine) refreshStatic(dt float64) {
-	if e.staticOK && math.Float64bits(dt) == math.Float64bits(e.staticDt) && !e.opts.Trapezoidal {
+	if e.staticOK && math.Float64bits(dt) == math.Float64bits(e.staticDt) {
 		return
 	}
 	e.staticA.Zero()
-	ctx := &circuit.StampContext{
-		A: e.staticA, Dt: dt, Trapezoidal: e.opts.Trapezoidal,
-	}
+	ctx := &circuit.StampContext{A: e.staticA, Dt: dt}
 	for _, el := range e.split {
 		el.StampStaticA(ctx)
 	}
@@ -394,7 +346,6 @@ func (e *Engine) buildStepB(xPrev []float64, dt float64) {
 	ctx := &circuit.StampContext{
 		B: e.stepB, XPrev: xPrev,
 		Dt: dt, Time: e.time,
-		Trapezoidal: e.opts.Trapezoidal,
 	}
 	for _, el := range e.split {
 		el.StampStepB(ctx)
@@ -440,9 +391,8 @@ func (e *Engine) newtonSolve(guess, xPrev []float64, dt float64) error {
 		A: e.aRed, B: e.bRed,
 		X: xIter, XPrev: xPrev,
 		Dt: dt, Time: e.time,
-		Trapezoidal: e.opts.Trapezoidal,
-		RowMap:      e.rowMap,
-		PinnedX:     e.pinnedX,
+		RowMap:  e.rowMap,
+		PinnedX: e.pinnedX,
 	}
 	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
 		if len(e.free) > 0 {
@@ -507,17 +457,6 @@ func (e *Engine) Step(dt float64) error {
 	if err := e.newtonSolve(xPrev, xPrev, dt); err != nil {
 		e.time -= dt
 		return err
-	}
-	if len(e.committers) > 0 {
-		// Let stateful elements (trapezoidal capacitors) record the step.
-		ctx := &circuit.StampContext{
-			X: e.x, XPrev: xPrev,
-			Dt: dt, Time: e.time,
-			Trapezoidal: e.opts.Trapezoidal,
-		}
-		for _, cm := range e.committers {
-			cm.Commit(ctx)
-		}
 	}
 	return nil
 }

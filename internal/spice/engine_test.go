@@ -288,3 +288,44 @@ func TestNewEngineRejectsEmptyCircuit(t *testing.T) {
 		t.Fatal("NewEngine must reject an empty circuit")
 	}
 }
+
+func TestISourceChargesCapacitorLinearly(t *testing.T) {
+	// i = C dv/dt → a constant current charges linearly: v(t) = I·t/C.
+	ckt := circuit.New()
+	out := ckt.Node("out")
+	ckt.Add(device.NewISource("I1", 0, out, device.DC(1e-6))) // 1 µA into out
+	ckt.Add(device.NewCapacitor("C1", out, 0, 1e-12))
+	ckt.Freeze()
+	e := MustNewEngine(ckt, DefaultOptions())
+	if err := e.Run(1e-6, 100, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := 1e-6 * 1e-6 / 1e-12 // = 1 V
+	if got := e.Voltage("out"); math.Abs(got-want) > 0.01 {
+		t.Errorf("cap charged to %gV, want %gV", got, want)
+	}
+}
+
+func TestISourceIntoResistor(t *testing.T) {
+	ckt := circuit.New()
+	out := ckt.Node("out")
+	ckt.Add(device.NewISource("I1", 0, out, device.DC(1e-3)))
+	ckt.Add(device.NewResistor("R1", out, 0, 1e3))
+	ckt.Freeze()
+	e := MustNewEngine(ckt, DefaultOptions())
+	if err := e.OperatingPoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Voltage("out"); math.Abs(got-1.0) > 1e-6 {
+		t.Errorf("v = %gV, want 1V", got)
+	}
+}
+
+func TestISourceRequiresWaveform(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewISource(nil) should panic")
+		}
+	}()
+	device.NewISource("I", 1, 0, nil)
+}

@@ -43,19 +43,16 @@ type Config struct {
 	Tests []march.Test
 	// Rows and Cols set the coverage-simulation geometry (default 4×2).
 	Rows, Cols int
-	// MaxCompletingOps bounds each corner's completion search.
-	MaxCompletingOps int
 	// Parallelism bounds concurrent simulations when Pool is nil.
 	Parallelism int
 	// Pool and Ctx thread through to every corner's pipeline: one
 	// concurrency bound and one cancellation for the whole matrix.
 	Pool *analysis.Pool
 	Ctx  context.Context
-	// Sweep, TraceStride and Trace select and instrument the plane-sweep
-	// strategy, exactly as in analysis.InventoryConfig.
-	Sweep       analysis.SweepMode
-	TraceStride int
-	Trace       *analysis.TraceCounters
+	// Sweep and Trace select and instrument the plane-sweep strategy,
+	// exactly as in analysis.InventoryConfig.
+	Sweep analysis.SweepMode
+	Trace *analysis.TraceCounters
 	// Progress, when non-nil, receives one line per corner milestone.
 	Progress func(string)
 }
@@ -292,9 +289,8 @@ func Analyze(cfg Config) (*Result, error) {
 				Factory: d.factory,
 				Opens:   cfg.Opens,
 				RDefs:   rdefs, Us: us,
-				MaxCompletingOps: cfg.MaxCompletingOps,
-				Ctx:              cfg.Ctx, Pool: pool,
-				Sweep: cfg.Sweep, TraceStride: cfg.TraceStride, Trace: cfg.Trace,
+				Ctx: cfg.Ctx, Pool: pool,
+				Sweep: cfg.Sweep, Trace: cfg.Trace,
 			})
 			if err != nil {
 				errs[i] = fmt.Errorf("stress: corner %s: %w", spec.Name, err)
