@@ -8,11 +8,11 @@ import (
 )
 
 // The bit-plane versus scalar engine pair below is the performance
-// acceptance exhibit for the sharded march engine: the same March PF ×
-// partial-fault evaluation, once word-parallel over a megabit array and
-// once cell-at-a-time at the largest geometry the scalar oracle can
-// sustain inside a benchmark budget. EXPERIMENTS.md records the
-// per-cell speedup the two cells/s metrics imply.
+// acceptance exhibit for the bit-plane march engine: the same March PF ×
+// partial-fault evaluation, once over the address classes of a megabit
+// array and once cell-at-a-time at the largest geometry the scalar
+// oracle can sustain inside a benchmark budget. EXPERIMENTS.md records
+// the per-cell speedup the two cells/s metrics imply.
 
 // bitsimBenchEntry is the completed partial read fault the engine
 // benchmarks evaluate — a Table 1 row March PF exists to catch.

@@ -92,7 +92,15 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.prove, "prove", "", "march test name (or \"all\") whose static three-valued detection matrix to print")
 	fs.BoolVar(&o.stress, "stress", false, "sweep the defect catalog at every operating corner and print per-corner inventories, corner deltas and the worst-corner coverage certificate")
 	fs.StringVar(&o.corners, "corners", "", "semicolon-separated corner list for -stress: built-in names (nominal, low-vdd, high-vdd, weak-precharge, hot, cold) or name:key=val,... derivations (keys vdd, vpp, bleq, vref, temp); default: the built-in set")
-	return o, fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "faultmap: unexpected argument %q (every flag must come before it)\n", fs.Arg(0))
+		fs.Usage()
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	return o, nil
 }
 
 // The service-backed modes build the same requests pfserve serves.

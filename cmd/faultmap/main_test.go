@@ -26,6 +26,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-twocell", "MATS+", "-march-engine", "quantum"},
 		{"-prove", "March ZZ"},
 		{"-sweep", "sideways"},
+		{"-prove", "MATS+", "stray", "-open", "42"},
 	}
 	for _, args := range cases {
 		code, _, errw := runCLI(t, args...)

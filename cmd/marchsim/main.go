@@ -68,6 +68,11 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, errUsage
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "marchsim: unexpected argument %q (every flag must come before it)\n", fs.Arg(0))
+		fs.Usage()
+		return nil, errUsage
+	}
 	if geometry != "" {
 		r, c, err := parseGeometry(geometry)
 		if err != nil {

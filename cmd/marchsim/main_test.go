@@ -78,6 +78,7 @@ func TestRunBadFlagCombos(t *testing.T) {
 		{"-twocell", "-offsets", "0"},
 		{"-fault", "not a primitive"},
 		{"-test", "custom", "-notation", "not march"},
+		{"-twocell", "March SS", "-engine", "bitsim", "-geometry", "8x8"}, // -twocell is a bool
 	}
 	for _, args := range cases {
 		code, _, errw := runCLI(t, args...)

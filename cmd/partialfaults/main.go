@@ -42,6 +42,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "partialfaults: unexpected argument %q (every flag must come before it)\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 	fail := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "partialfaults: "+format+"\n", a...)
 		return 1

@@ -45,6 +45,7 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-opens", "x"}, 1},
 		{[]string{"-opens", "42"}, 1},
 		{[]string{"-engine", "verilog"}, 1},
+		{[]string{"-opens", "42", "stray"}, 2},
 	}
 	for _, c := range cases {
 		code, _, errw := runCLI(t, c.args...)

@@ -2,26 +2,17 @@ package bitsim
 
 import (
 	"fmt"
-	"sync"
 
-	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/march"
 	"github.com/memtest/partialfaults/internal/memsim"
 )
 
-// Engine is the bit-plane march backend. The zero value is ready to
-// use; New returns one for symmetry with the rest of the codebase.
-type Engine struct {
-	// Workers bounds concurrent shard evaluations (<= 0: GOMAXPROCS),
-	// via the same bounded-pool shape the analysis pipeline uses.
-	Workers int
-	// ShardLanes is the victim-lane count per shard, rounded up to a
-	// multiple of 64 (<= 0: a default that keeps per-shard state small
-	// while giving the pool enough parallel work).
-	ShardLanes int
-}
+// Engine is the bit-plane march backend. It holds no state and runs
+// every call on the caller's goroutine; New returns one for symmetry
+// with the rest of the codebase.
+type Engine struct{}
 
-// New returns a default-configured engine.
+// New returns an engine.
 func New() *Engine { return &Engine{} }
 
 // Name identifies the backend.
@@ -29,15 +20,6 @@ func (e *Engine) Name() string { return "bitsim" }
 
 // march.Engine conformance.
 var _ march.Engine = (*Engine)(nil)
-
-const defaultShardLanes = 1 << 14
-
-func (e *Engine) shardLanes() int {
-	if e.ShardLanes > 0 {
-		return e.ShardLanes
-	}
-	return defaultShardLanes
-}
 
 func checkGeometry(t march.Test, rows, cols int) (geom, error) {
 	if err := t.Validate(); err != nil {
@@ -49,105 +31,30 @@ func checkGeometry(t march.Test, rows, cols int) (geom, error) {
 	return geom{rows: rows, cols: cols, n: rows * cols}, nil
 }
 
-// shardResult is one shard's detection bitmap for one assignment,
-// identified by its position so the reducer can merge deterministically
-// regardless of completion order.
-type shardResult struct {
-	assign, shardIdx int
-	det              []uint64
-}
-
-// mergeResults folds per-shard detection bitmaps into one bitmap per
-// assignment (g.n lanes each). Shards occupy disjoint word ranges, so
-// the merge is order-independent — the property the reduction-order
-// test pins down.
-func mergeResults(g geom, shards []shard, nAssign int, results []shardResult) [][]uint64 {
-	words := (g.n + 63) / 64
-	out := make([][]uint64, nAssign)
-	for i := range out {
-		out[i] = make([]uint64, words)
-	}
-	for _, r := range results {
-		base := shards[r.shardIdx].lo / 64
-		for i, w := range r.det {
-			out[r.assign][base+i] |= w
-		}
-	}
-	return out
-}
-
-// runSharded fans (assignment × shard) jobs across the worker pool and
-// streams results into per-assignment bitmaps as they complete.
-func (e *Engine) runSharded(g geom, nAssign int, job func(assign int, sh shard) []uint64) [][]uint64 {
-	shards := makeShards(g.n, e.shardLanes())
-	pool := analysis.NewPool(e.Workers)
-	results := make(chan shardResult, len(shards))
-	var wg sync.WaitGroup
-	for ai := 0; ai < nAssign; ai++ {
-		for si := range shards {
-			ai, si := ai, si
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool.Do(func() {
-					results <- shardResult{assign: ai, shardIdx: si, det: job(ai, shards[si])}
-				})
-			}()
-		}
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	// Streaming reduction: disjoint word ranges make arrival order
-	// irrelevant to the merged bitmaps.
-	words := (g.n + 63) / 64
-	out := make([][]uint64, nAssign)
-	for i := range out {
-		out[i] = make([]uint64, words)
-	}
-	for r := range results {
-		base := shards[r.shardIdx].lo / 64
-		for i, w := range r.det {
-			out[r.assign][base+i] |= w
-		}
-	}
-	return out
-}
-
-// DetectionBitmaps evaluates a single-cell catalog entry and returns
-// one detection bitmap per ⇕-order assignment: bit v set means scenario
-// (victim v, assignment) produced at least one mismatch.
-func (e *Engine) DetectionBitmaps(t march.Test, rows, cols int, entry march.CatalogEntry) ([][]uint64, error) {
-	g, err := checkGeometry(t, rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	spec, err := memsim.CompileFault(entry.Make(0))
-	if err != nil {
-		return nil, err
-	}
-	assignments := t.OrderAssignments()
-	traces := make([][]ffElem, len(assignments))
-	for i, orders := range assignments {
-		traces[i] = ffTrace(t, resolveOrders(t, orders))
-	}
-	return e.runSharded(g, len(assignments), func(ai int, sh shard) []uint64 {
-		return runSingle(g, sh, spec, traces[ai])
-	}), nil
+func detection(caught, total int) march.Detection {
+	return march.Detection{Detected: caught == total && total > 0, Caught: caught, Scenarios: total}
 }
 
 // Detects evaluates a single-cell catalog entry over all victims and
 // ⇕-order assignments, with verdicts identical to the scalar engine's.
 func (e *Engine) Detects(t march.Test, rows, cols int, entry march.CatalogEntry) (march.Detection, error) {
-	bitmaps, err := e.DetectionBitmaps(t, rows, cols, entry)
+	g, err := checkGeometry(t, rows, cols)
 	if err != nil {
 		return march.Detection{}, err
 	}
-	n := rows * cols
-	caught, total := 0, n*len(bitmaps)
-	for _, bm := range bitmaps {
-		caught += popcount(bm)
+	spec, err := memsim.CompileFault(entry.Make(0))
+	if err != nil {
+		return march.Detection{}, err
 	}
-	return march.Detection{Detected: caught == total && total > 0, Caught: caught, Scenarios: total}, nil
+	l := newLanes(g, g.singleCellCuts())
+	caught, total := 0, 0
+	for _, elems := range traces(t) {
+		det, err := runSingle(g, l, spec, elems)
+		if err != nil {
+			return march.Detection{}, err
+		}
+		caught += l.count(det)
+		total += g.n
+	}
+	return detection(caught, total), nil
 }

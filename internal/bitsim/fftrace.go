@@ -61,7 +61,7 @@ func ffTrace(t march.Test, orders []march.Order) []ffElem {
 	out := make([]ffElem, len(t.Elements))
 	state := memsim.X
 	for i, e := range t.Elements {
-		fe := ffElem{order: orders[i], tail: memsim.X}
+		fe := ffElem{order: orders[i], tail: memsim.X, ops: make([]ffOp, 0, len(e.Ops))}
 		for _, op := range e.Ops {
 			fo := ffOp{read: op.Read, data: op.Data, pre: state}
 			if op.Read {
@@ -80,6 +80,16 @@ func ffTrace(t march.Test, orders []march.Order) []ffElem {
 			}
 		}
 		out[i] = fe
+	}
+	return out
+}
+
+// traces returns the fault-free trace of every ⇕-order assignment.
+func traces(t march.Test) [][]ffElem {
+	assignments := t.OrderAssignments()
+	out := make([][]ffElem, len(assignments))
+	for i, orders := range assignments {
+		out[i] = ffTrace(t, resolveOrders(t, orders))
 	}
 	return out
 }

@@ -8,14 +8,17 @@ import (
 
 // FuzzBitsimEquivalence throws parser-accepted march tests at both
 // engines on small geometries and demands identical verdicts for a
-// fuzz-chosen catalog entry. Anything Parse accepts is fair game —
-// including degenerate tests the library would never ship.
+// fuzz-chosen catalog entry. It then compares the class and the dense
+// lane sets on a fuzz-chosen geometry up to 32×32 and aggressor offset,
+// where a class can hold hundreds of addresses. Anything Parse accepts
+// is fair game — including degenerate tests the library would never
+// ship.
 func FuzzBitsimEquivalence(f *testing.F) {
-	f.Add("{m(w0); u(r0,w1); d(r1,w0)}", uint8(0), uint8(0))
-	f.Add("{m(w0); u(r0,w1,r1,w0,r0,w1); d(r1,w0,r0,w1,r1,w0); m(r0)}", uint8(3), uint8(1))
-	f.Add("{m(w0); m(r0,w1); m(r1,w0); m(r0)}", uint8(7), uint8(2))
-	f.Add("{u(w0); u(r0); u(w1); u(r1)}", uint8(11), uint8(3))
-	f.Add("{d(w1); m(r1,w0,w1); u(r1)}", uint8(20), uint8(0))
+	f.Add("{m(w0); u(r0,w1); d(r1,w0)}", uint8(0), uint8(0), uint8(31), uint8(31), uint16(0))
+	f.Add("{m(w0); u(r0,w1,r1,w0,r0,w1); d(r1,w0,r0,w1,r1,w0); m(r0)}", uint8(3), uint8(1), uint8(8), uint8(2), uint16(5))
+	f.Add("{m(w0); m(r0,w1); m(r1,w0); m(r0)}", uint8(7), uint8(2), uint8(0), uint8(6), uint16(3))
+	f.Add("{u(w0); u(r0); u(w1); u(r1)}", uint8(11), uint8(3), uint8(6), uint8(0), uint16(12))
+	f.Add("{d(w1); m(r1,w0,w1); u(r1)}", uint8(20), uint8(0), uint8(4), uint8(9), uint16(70))
 
 	singles := singleCatalog()
 	twos := march.TwoCellCatalog()
@@ -23,7 +26,7 @@ func FuzzBitsimEquivalence(f *testing.F) {
 	eng := New()
 	geoms := [][2]int{{2, 2}, {2, 3}, {3, 3}}
 
-	f.Fuzz(func(t *testing.T, notation string, entryIdx, geomIdx uint8) {
+	f.Fuzz(func(t *testing.T, notation string, entryIdx, geomIdx, rowsIdx, colsIdx uint8, offIdx uint16) {
 		test, err := march.Parse("fuzz", notation)
 		if err != nil {
 			t.Skip()
@@ -61,6 +64,18 @@ func FuzzBitsimEquivalence(f *testing.F) {
 		}
 		if wantErr == nil && want != got {
 			t.Fatalf("%q × %s @ %dx%d: scalar %+v, bitsim %+v", notation, te.Name, g[0], g[1], want, got)
+		}
+
+		rows, cols := 1+int(rowsIdx)%32, 1+int(colsIdx)%32
+		cg := geom{rows: rows, cols: cols, n: rows * cols}
+		checkSingleClassDense(t, cg, []march.Test{test}, []march.CatalogEntry{se})
+		if m := cg.n - 1; m > 0 {
+			// δ ∈ [-m, -1] ∪ [1, m]: every in-array offset.
+			d := int(offIdx)%(2*m) - m
+			if d >= 0 {
+				d++
+			}
+			checkTwoCellClassDense(t, cg, []march.Test{test}, []march.TwoCellCatalogEntry{te}, []int{d})
 		}
 	})
 }

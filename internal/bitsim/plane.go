@@ -1,7 +1,7 @@
-// Package bitsim is the bit-plane march engine: 64 detection scenarios
-// live in one machine word and march operations become word-wide
-// bitwise kernels instead of the scalar simulator's per-cell hook
-// dispatch.
+// Package bitsim is the bit-plane march engine: detection scenarios
+// live in the bits of machine words and march operations become
+// word-wide bitwise kernels instead of the scalar simulator's per-cell
+// hook dispatch.
 //
 // The engine exploits the structure of guarantee-semantics evaluation:
 // scenario v is "the fault injected at victim v", and in any scenario
@@ -11,19 +11,25 @@
 // state is therefore a scalar per operation step, and the only
 // per-scenario state is the victim cell itself plus the hidden line
 // state *as seen by the victim* — a handful of ternary bit planes
-// indexed by victim lane. One walk over the test's elements evaluates
-// all N victims at once in O(len·N/64) word operations, against the
-// scalar engine's O(len·N²) cell operations.
+// indexed by lane.
 //
-// Lanes shard into word-aligned blocks evaluated concurrently on a
-// bounded worker pool; the per-shard detection bitmaps merge into
-// disjoint word ranges, so reduction order cannot change the result.
+// Every kernel is lane-local, and every mask it builds is a union of a
+// few address intervals: the walk edges, the boundary rows and, for a
+// two-cell aggressor offset, their shifts. So a lane stands for a class
+// of addresses, the interval between two consecutive cut points where
+// some mask can change, and all addresses of a class follow one
+// trajectory; a caught lane counts with its class size. A single-cell
+// walk has at most 5 classes and a two-cell offset at most 15, so one
+// walk costs O(len) one-word operations whatever the array size, on the
+// caller's goroutine. A mask that would split a class is an error,
+// never a wrong count.
+//
 // The scalar memsim engine remains the differential oracle: the
 // equivalence suite proves both engines produce identical verdicts for
-// every library test × catalog entry on all shared geometries.
+// every library test × catalog entry on all shared geometries, and a
+// dense lane set (one class per address, the same kernels) checks the
+// classes at sizes the scalar engine cannot reach.
 package bitsim
-
-import "math/bits"
 
 // plane is a ternary (0/1/X) value per lane, packed as value and known
 // bitmaps: lane i holds X when k's bit is clear, else v's bit.
@@ -32,7 +38,8 @@ type plane struct {
 }
 
 func newPlane(w int) plane {
-	return plane{v: make([]uint64, w), k: make([]uint64, w)}
+	b := make([]uint64, 2*w)
+	return plane{v: b[:w:w], k: b[w:]}
 }
 
 // setConst sets every lane to t (0, 1 or X).
@@ -133,12 +140,4 @@ func wnot(d, s []uint64) {
 	for i := range d {
 		d[i] = ^s[i]
 	}
-}
-
-func popcount(d []uint64) int {
-	n := 0
-	for _, w := range d {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

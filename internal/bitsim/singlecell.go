@@ -1,23 +1,19 @@
 package bitsim
 
-import (
-	"github.com/memtest/partialfaults/internal/march"
-	"github.com/memtest/partialfaults/internal/memsim"
-)
+import "github.com/memtest/partialfaults/internal/memsim"
 
 // scRun evaluates one compiled single-cell fault over all victim lanes
-// of a shard, for one concrete order assignment. Lane v is the scenario
-// "fault at victim v"; the planes hold the scenario's victim-visible
-// state. The kernels mirror memsim's hook order exactly: sensitized
-// fire hooks see the pre-operation line state, the victim-history
-// recorder sees write data / restored read values, line updates follow,
-// and state faults fire after every operation period.
+// of a lane set, for one concrete order assignment. A lane is the
+// scenario "fault at a victim of its class"; the planes hold the
+// scenario's victim-visible state. The kernels mirror memsim's hook
+// order exactly: sensitized fire hooks see the pre-operation line
+// state, the victim-history recorder sees write data / restored read
+// values, line updates follow, and state faults fire after every
+// operation period.
 type scRun struct {
 	g    geom
-	sh   shard
+	l    *lanes
 	spec memsim.CompiledFault
-	up   orderMasks
-	down orderMasks
 
 	// V is the victim cell; BL and IO are the floating bit-line and
 	// output-buffer values as the victim's trigger sees them.
@@ -39,13 +35,11 @@ type scRun struct {
 	t1, t2, t3, t4 []uint64
 }
 
-func newSCRun(g geom, sh shard, spec memsim.CompiledFault) *scRun {
-	w := sh.w
+func newSCRun(g geom, l *lanes, spec memsim.CompiledFault) *scRun {
+	w := l.w
 	r := &scRun{
-		g: g, sh: sh, spec: spec,
-		up:   masksFor(g, sh, march.Up),
-		down: masksFor(g, sh, march.Down),
-		V:    newPlane(w), BL: newPlane(w), IO: newPlane(w),
+		g: g, l: l, spec: spec,
+		V: newPlane(w), BL: newPlane(w), IO: newPlane(w),
 		det: make([]uint64, w), out: newPlane(w),
 		t1: make([]uint64, w), t2: make([]uint64, w),
 		t3: make([]uint64, w), t4: make([]uint64, w),
@@ -66,13 +60,6 @@ func newSCRun(g geom, sh shard, spec memsim.CompiledFault) *scRun {
 		r.prevPre = newPlane(w)
 	}
 	return r
-}
-
-func (r *scRun) masks(o march.Order) orderMasks {
-	if o == march.Down {
-		return r.down
-	}
-	return r.up
 }
 
 // armedNow writes the trigger's armed mask for the current hidden
@@ -324,7 +311,7 @@ func (r *scRun) victimOp(op ffOp) {
 
 // element advances the run through one march element.
 func (r *scRun) element(e ffElem) {
-	m := r.masks(e.order)
+	m := r.l.masks(e.order)
 	// Segment A: fault-free passes before the victim pass. State faults
 	// may fire at any of their operation periods; line values evolve
 	// from the end-of-previous-element planes.
@@ -347,14 +334,15 @@ func (r *scRun) element(e ffElem) {
 		// The element's globally last operation happened at the walk-last
 		// address; only that lane enters the next element with a
 		// previous-operation-at-victim record.
-		r.sh.bitMask(r.g.lastAddr(e.order), r.prevAt)
+		r.l.bitMask(r.g.lastAddr(e.order), r.prevAt)
 	}
 }
 
-// runSingle evaluates one assignment's detection bitmap for a shard:
-// bit (v - sh.lo) is set when scenario v yields at least one mismatch.
-func runSingle(g geom, sh shard, spec memsim.CompiledFault, elems []ffElem) []uint64 {
-	r := newSCRun(g, sh, spec)
+// runSingle evaluates one assignment's detection bitmap over a lane
+// set: bit i is set when the scenarios of lane i yield at least one
+// mismatch. A mask that split a class is an error.
+func runSingle(g geom, l *lanes, spec memsim.CompiledFault, elems []ffElem) ([]uint64, error) {
+	r := newSCRun(g, l, spec)
 	ffMM := false
 	for _, e := range elems {
 		r.element(e)
@@ -365,7 +353,7 @@ func runSingle(g geom, sh shard, spec memsim.CompiledFault, elems []ffElem) []ui
 		// with at least one non-victim cell is caught.
 		wfill(r.det)
 	}
-	sh.laneMask(r.t1)
+	l.laneMask(r.t1)
 	wand(r.det, r.t1)
-	return r.det
+	return r.det, l.err
 }

@@ -15,7 +15,8 @@ import (
 // before or after the victim — (order == Up) == (δ < 0) — which is
 // uniform across lanes for a fixed δ. Shifted range masks express the
 // per-lane boundary cases (aggressor at the walk edge, aggressor's
-// column position), keeping the kernels word-parallel.
+// column position); geom.twoCellCuts lists their bounds, so the lane
+// set of an offset never splits a class.
 
 // tcSpec is the compiled two-cell fault: the memsim spec plus the
 // primitive it was compiled from.
@@ -44,14 +45,12 @@ func compileTwoCell(entry march.TwoCellCatalogEntry) (tcSpec, error) {
 }
 
 // tcRun evaluates one compiled coupling fault for one aggressor offset
-// over all victim lanes of a shard, for one order assignment.
+// over all victim lanes of a lane set, for one order assignment.
 type tcRun struct {
 	g     geom
-	sh    shard
+	l     *lanes
 	s     tcSpec
 	delta int
-	up    orderMasks
-	down  orderMasks
 
 	V, BL, IO plane
 	// lineAgg is the mediating line value as seen at aggressor
@@ -64,13 +63,11 @@ type tcRun struct {
 	t1, t2, t3, t4 []uint64
 }
 
-func newTCRun(g geom, sh shard, s tcSpec, delta int) *tcRun {
-	w := sh.w
+func newTCRun(g geom, l *lanes, s tcSpec, delta int) *tcRun {
+	w := l.w
 	r := &tcRun{
-		g: g, sh: sh, s: s, delta: delta,
-		up:   masksFor(g, sh, march.Up),
-		down: masksFor(g, sh, march.Down),
-		V:    newPlane(w), BL: newPlane(w), IO: newPlane(w),
+		g: g, l: l, s: s, delta: delta,
+		V: newPlane(w), BL: newPlane(w), IO: newPlane(w),
 		lineAgg: newPlane(w), out: newPlane(w),
 		det: make([]uint64, w), valid: make([]uint64, w),
 		t1: make([]uint64, w), t2: make([]uint64, w),
@@ -79,15 +76,8 @@ func newTCRun(g geom, sh shard, s tcSpec, delta int) *tcRun {
 	r.V.setConst(memsim.X)
 	r.BL.setConst(memsim.X)
 	r.IO.setConst(memsim.X)
-	sh.rangeMask(-delta, g.n-delta, r.valid)
+	l.rangeMask(-delta, g.n-delta, r.valid)
 	return r
-}
-
-func (r *tcRun) masks(o march.Order) orderMasks {
-	if o == march.Down {
-		return r.down
-	}
-	return r.up
 }
 
 // armedNow writes the mediating-line trigger mask at the victim's
@@ -143,18 +133,10 @@ func (r *tcRun) aggOpMatches(op ffOp, fpre int) bool {
 // colPredMask writes the lanes whose column contains at least one
 // address the walk visits before the aggressor — the different-column
 // arrival condition for the victim's bit line as seen at aggressor
-// operations. The condition is row-uniform, hence a contiguous range.
+// operations.
 func (r *tcRun) colPredMask(o march.Order, dst []uint64) {
-	cols, rows := r.g.cols, r.g.rows
-	if o == march.Up {
-		// δ < 0 here: a column predecessor exists iff row(v)·cols > -δ.
-		r0 := (-r.delta)/cols + 1
-		r.sh.rangeMask(r0*cols, r.g.n, dst)
-	} else {
-		// δ > 0 here: one exists iff (rows-1-row(v))·cols > δ.
-		rMax := rows - 2 - r.delta/cols
-		r.sh.rangeMask(0, (rMax+1)*cols, dst)
-	}
+	a, b := r.g.colPredRange(o, r.delta)
+	r.l.rangeMask(a, b, dst)
 }
 
 // aggLineArrive computes the mediating line value each lane's trigger
@@ -176,7 +158,7 @@ func (r *tcRun) aggLineArrive(e ffElem, before bool) {
 			}
 			r.lineAgg.setConst(tail)
 			// The lane whose aggressor is walk-first keeps the carry.
-			r.sh.bitMask(r.g.firstAddr(e.order)-d, r.t4)
+			r.l.bitMask(r.g.firstAddr(e.order)-d, r.t4)
 			r.lineAgg.setPlaneWhere(r.t4, r.IO)
 		} else {
 			// The victim's own pass is among the predecessors; a full
@@ -203,7 +185,7 @@ func (r *tcRun) aggLineArrive(e ffElem, before bool) {
 			// Lanes whose aggressor sits in the first-visited row have no
 			// column predecessor and keep the carry.
 			a, b := r.g.firstRowRange(e.order)
-			r.sh.rangeMask(a-d, b-d, r.t4)
+			r.l.rangeMask(a-d, b-d, r.t4)
 			r.lineAgg.setPlaneWhere(r.t4, r.BL)
 		} else {
 			// A fault-free same-column pass sits between victim and
@@ -327,7 +309,7 @@ func (r *tcRun) victimPass(e ffElem, aggVal int) {
 }
 
 func (r *tcRun) element(e ffElem) {
-	m := r.masks(e.order)
+	m := r.l.masks(e.order)
 	aggBefore := (e.order == march.Up) == (r.delta < 0)
 	if aggBefore {
 		r.aggPass(e, true)
@@ -342,10 +324,11 @@ func (r *tcRun) element(e ffElem) {
 	endLines(r.BL, r.IO, e, m, r.t1)
 }
 
-// runTwoCell evaluates one (assignment, offset) detection bitmap for a
-// shard: bit (v - sh.lo) set means the pair (v, v+δ) was caught.
-func runTwoCell(g geom, sh shard, s tcSpec, delta int, elems []ffElem) []uint64 {
-	r := newTCRun(g, sh, s, delta)
+// runTwoCell evaluates one (assignment, offset) detection bitmap over a
+// lane set: bit i set means the pairs (v, v+δ) of lane i were caught. A
+// mask that split a class is an error.
+func runTwoCell(g geom, l *lanes, s tcSpec, delta int, elems []ffElem) ([]uint64, error) {
+	r := newTCRun(g, l, s, delta)
 	ffMM := false
 	for _, e := range elems {
 		r.element(e)
@@ -356,7 +339,7 @@ func runTwoCell(g geom, sh shard, s tcSpec, delta int, elems []ffElem) []uint64 
 		wfill(r.det)
 	}
 	wand(r.det, r.valid)
-	return r.det
+	return r.det, l.err
 }
 
 // DetectsTwoCell evaluates a two-cell catalog entry over all ordered
@@ -407,27 +390,18 @@ func (e *Engine) detectsTwoCellOffsets(g geom, t march.Test, entry march.TwoCell
 	if len(offsets) == 0 || g.n < 2 {
 		return march.Detection{}, nil
 	}
-	assignments := t.OrderAssignments()
-	traces := make([][]ffElem, len(assignments))
-	for i, orders := range assignments {
-		traces[i] = ffTrace(t, resolveOrders(t, orders))
-	}
-	bitmaps := e.runSharded(g, len(assignments)*len(offsets), func(row int, sh shard) []uint64 {
-		ai, oi := row/len(offsets), row%len(offsets)
-		return runTwoCell(g, sh, s, offsets[oi], traces[ai])
-	})
+	ts := traces(t)
 	caught, total := 0, 0
-	for _, bm := range bitmaps {
-		caught += popcount(bm)
-	}
 	for _, d := range offsets {
-		abs := d
-		if abs < 0 {
-			abs = -abs
-		}
-		if c := g.n - abs; c > 0 {
-			total += c * len(assignments)
+		l := newLanes(g, g.twoCellCuts(d))
+		for _, elems := range ts {
+			det, err := runTwoCell(g, l, s, d, elems)
+			if err != nil {
+				return march.Detection{}, err
+			}
+			caught += l.count(det)
+			total += max(g.n-max(d, -d), 0)
 		}
 	}
-	return march.Detection{Detected: caught == total && total > 0, Caught: caught, Scenarios: total}, nil
+	return detection(caught, total), nil
 }

@@ -138,7 +138,9 @@ type Coverage struct {
 func (q *Coverage) Normalize(*Env) (err error) {
 	q.Engine = cmp.Or(q.Engine, engineMemsim)
 	q.Catalog = cmp.Or(q.Catalog, "classical")
-	q.Rows, q.Cols = cmp.Or(q.Rows, 4), cmp.Or(q.Cols, 2)
+	if err := geometry(&q.Rows, &q.Cols); err != nil {
+		return err
+	}
 	if q.engine, err = MarchEngine(q.Engine); err != nil {
 		return err
 	}
@@ -189,7 +191,9 @@ func (q *TwoCell) Normalize(*Env) error {
 		return badRequest("missing march test name")
 	}
 	q.Engine = cmp.Or(q.Engine, engineMemsim)
-	q.Rows, q.Cols = cmp.Or(q.Rows, 4), cmp.Or(q.Cols, 2)
+	if err := geometry(&q.Rows, &q.Cols); err != nil {
+		return err
+	}
 	if err := CheckOffsets(q.Offsets); err != nil {
 		return err
 	}
@@ -371,7 +375,9 @@ func (q *Stress) Normalize(env *Env) (err error) {
 	if q.corners, q.Corners, err = corners(q.Corners, env.Tech); err != nil {
 		return err
 	}
-	q.Rows, q.Cols = cmp.Or(q.Rows, 4), cmp.Or(q.Cols, 2)
+	if err := geometry(&q.Rows, &q.Cols); err != nil {
+		return err
+	}
 	if q.marchEngine, err = MarchEngine(q.MarchEngine); err != nil {
 		return err
 	}

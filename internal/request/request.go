@@ -151,8 +151,8 @@ func (e *Env) Factory(engine string) (analysis.Factory, error) {
 	return behav.NewFactory(e.Params), nil
 }
 
-// bitPlane is the bit-plane engine every request shares: it holds only
-// read-only configuration, so resolving a name builds nothing.
+// bitPlane is the bit-plane engine every request shares: it holds no
+// state, so resolving a name builds nothing.
 var bitPlane = bitsim.New()
 
 // MarchEngine resolves a march-walk backend name: "" or "memsim" for
@@ -197,6 +197,16 @@ func Opens(ids []int) ([]defect.Open, error) {
 		out = append(out, o)
 	}
 	return out, nil
+}
+
+// geometry fills the default 4×2 march-walk geometry into zero fields
+// and rejects negative ones.
+func geometry(rows, cols *int) error {
+	if *rows < 0 || *cols < 0 {
+		return badRequest("rows and cols must not be negative (0 takes the default), not %dx%d", *rows, *cols)
+	}
+	*rows, *cols = cmp.Or(*rows, 4), cmp.Or(*cols, 2)
+	return nil
 }
 
 // CheckOffsets validates an aggressor-offset list (aggressor = victim +

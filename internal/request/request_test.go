@@ -200,11 +200,14 @@ func TestNormalizeRejects(t *testing.T) {
 		{"coverage", `{"engine":"quantum"}`},
 		{"coverage", `{"tests":["March ZZ"]}`},
 		{"coverage", `{"catalog":"imaginary"}`},
+		{"coverage", `{"engine":"bitsim","rows":-1,"cols":4}`},
+		{"coverage", `{"rows":4,"cols":-2}`},
 		{"twocell", `{}`},
 		{"twocell", `{"test":"MATS+","offsets":[0]}`},
 		{"twocell", `{"test":"MATS+","offsets":[1,1]}`},
 		{"twocell", `{"test":"MATS+","engine":"quantum"}`},
 		{"twocell", `{"test":"March ZZ"}`},
+		{"twocell", `{"test":"March SS","engine":"bitsim","rows":-4}`},
 		{"matrix", `{"tests":["March ZZ"]}`},
 		{"predict", `{}`},
 		{"predict", `{"open":1,"defects":[{"site":"bridge.bl.bl"}]}`},
@@ -219,6 +222,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"stress", `{"u_steps":-1}`},
 		{"stress", `{"opens":[99]}`},
 		{"stress", `{"tests":["March ZZ"]}`},
+		{"stress", `{"opens":[4],"rdefs":[1e4],"us":[0],"cols":-1}`},
 	}
 	for _, c := range cases {
 		q := newKind(t, c.kind)

@@ -178,6 +178,10 @@ func TestBadGridRejected(t *testing.T) {
 		{"/v1/inventory", `{"us":[` + strings.Repeat("0,", 1000) + `0]}`},
 		{"/v1/stress", `{"rdef_max":-5}`},
 		{"/v1/stress", `{"u_steps":-2}`},
+		{"/v1/stress", `{"opens":[4],"rdefs":[1e4],"us":[0],"cols":-1}`},
+		{"/v1/coverage", `{"engine":"bitsim","rows":-1,"cols":4}`},
+		{"/v1/coverage", `{"rows":4,"cols":-2}`},
+		{"/v1/twocell", `{"test":"March SS","engine":"bitsim","rows":-4}`},
 	} {
 		if code, buf := post(t, s, c.path, c.body); code != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d (%s), want 400", c.path, c.body, code, buf)
