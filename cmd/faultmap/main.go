@@ -20,7 +20,7 @@
 // -twocell "March C-" (or "all") prints the two-cell coverage
 // certificate for the named march test on a 4×2 array: the static
 // cannot-fire column checked against the exhaustive coupling-fault
-// simulation.
+// simulation on the bit-plane engine.
 //
 // -prove "March PF" (or "all") prints the static three-valued detection
 // matrix for the named march test against the paper's partial-fault
@@ -32,7 +32,8 @@
 // (-corners "low-vdd;hot" or name:key=val,... derivations; default: the
 // built-in corner set) and prints the per-corner Table 1 inventories,
 // the corner deltas against nominal, and the worst-corner coverage
-// certificate. -engine, -march-engine and the grid flags apply.
+// certificate, with per-corner coverage simulated on the bit-plane
+// engine. -engine and the grid flags apply.
 package main
 
 import (
@@ -61,11 +62,11 @@ func main() {
 
 // options holds the parsed flags.
 type options struct {
-	open                                          int
-	sos, float, engine, sweep                     string
-	grid                                          request.Grid
-	csv, lint, predict, stress                    bool
-	defects, twoCell, marchEngine, prove, corners string
+	open                             int
+	sos, float, engine, sweep        string
+	grid                             request.Grid
+	csv, lint, predict, stress       bool
+	defects, twoCell, prove, corners string
 }
 
 func parseFlags(args []string, stderr io.Writer) (*options, error) {
@@ -88,7 +89,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.predict, "predict", false, "print the statically predicted floating-line set for the open and exit")
 	fs.StringVar(&o.defects, "defect", "", "comma-separated short/bridge defect sites, each optionally @ohms (e.g. short.cell.gnd,bridge.cell.cell or short.bl.vdd@2e3); with -predict, prints the net-merge verdict table instead of an open's float set")
 	fs.StringVar(&o.twoCell, "twocell", "", "march test name (or \"all\") whose two-cell coverage certificate to print; exits nonzero on an unsound certificate")
-	fs.StringVar(&o.marchEngine, "march-engine", "memsim", "march simulation backend for -twocell: memsim (scalar oracle) or bitsim (bit-plane)")
 	fs.StringVar(&o.prove, "prove", "", "march test name (or \"all\") whose static three-valued detection matrix to print")
 	fs.BoolVar(&o.stress, "stress", false, "sweep the defect catalog at every operating corner and print per-corner inventories, corner deltas and the worst-corner coverage certificate")
 	fs.StringVar(&o.corners, "corners", "", "semicolon-separated corner list for -stress: built-in names (nominal, low-vdd, high-vdd, weak-precharge, hot, cold) or name:key=val,... derivations (keys vdd, vpp, bleq, vref, temp); default: the built-in set")
@@ -106,7 +106,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 // The service-backed modes build the same requests pfserve serves.
 
 func (o *options) stressRequest() *request.Stress {
-	return &request.Stress{Engine: o.engine, MarchEngine: o.marchEngine, Corners: o.corners, Grid: o.grid, Sweep: o.sweep}
+	return &request.Stress{Engine: o.engine, Corners: o.corners, Grid: o.grid, Sweep: o.sweep}
 }
 
 func (o *options) matrixRequest() *request.Matrix {
@@ -120,11 +120,11 @@ func (o *options) matrixRequest() *request.Matrix {
 // library test for "all".
 func (o *options) twoCellRequests() []*request.TwoCell {
 	if o.twoCell != "all" {
-		return []*request.TwoCell{{Test: o.twoCell, Engine: o.marchEngine}}
+		return []*request.TwoCell{{Test: o.twoCell}}
 	}
 	var qs []*request.TwoCell
 	for _, t := range march.All() {
-		qs = append(qs, &request.TwoCell{Test: t.Name, Engine: o.marchEngine})
+		qs = append(qs, &request.TwoCell{Test: t.Name})
 	}
 	return qs
 }

@@ -23,7 +23,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-defect", "nowhere"},
 		{"-defect", "short.bl.vdd@-5"},
 		{"-twocell", "March ZZ"},
-		{"-twocell", "MATS+", "-march-engine", "quantum"},
+		{"-twocell", "MATS+", "-march-engine", "memsim"}, // one engine: the flag is gone
 		{"-prove", "March ZZ"},
 		{"-sweep", "sideways"},
 		{"-prove", "MATS+", "stray", "-open", "42"},
@@ -133,7 +133,7 @@ func TestRunStress(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errw)
 	}
 	for _, want := range []string{
-		"# Stress matrix — engine behav, march engine memsim",
+		"# Stress matrix — engine behav, march engine bitsim",
 		"## Corner nominal (nominal:",
 		"## Corner low-vdd (low-vdd:vdd=0.9,vpp=0.9",
 		"## Corner deltas vs nominal",
@@ -171,7 +171,6 @@ func TestRunStressBadCorners(t *testing.T) {
 		{"-stress", "-corners", "x:temp=500"},
 		{"-stress", "-corners", "hot;hot"},
 		{"-stress", "-corners", "x:warp=9"},
-		{"-stress", "-march-engine", "quantum"},
 		{"-stress", "-engine", "verilog"},
 		{"-stress", "-sweep", "sideways"},
 	}

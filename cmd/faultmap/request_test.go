@@ -50,12 +50,12 @@ func TestFlagsMatchServiceRequests(t *testing.T) {
 		{[]string{"-stress"}, "stress", `{}`},
 		{[]string{"-stress", "-corners", "low-vdd", "-rdef-steps", "2", "-u-steps", "3"}, "stress",
 			`{"corners":"nominal;low-vdd","rdefs":[1000,10000000],"us":[0,1.65,3.3]}`},
-		{[]string{"-stress", "-corners", "hot", "-engine", "spice", "-march-engine", "bitsim", "-sweep", "traced", "-rdef-min", "1e4", "-rdef-max", "1e6", "-rdef-steps", "3"}, "stress",
+		{[]string{"-stress", "-corners", "hot", "-engine", "spice", "-sweep", "traced", "-rdef-min", "1e4", "-rdef-max", "1e6", "-rdef-steps", "3"}, "stress",
 			`{"engine":"spice","march_engine":"bitsim","corners":"hot","rdef_min":1e4,"rdef_max":1e6,"rdef_steps":3,"sweep":"traced"}`},
 		{[]string{"-prove", "March PF"}, "matrix", `{"tests":["March PF"]}`},
 		{[]string{"-prove", "all"}, "matrix", `{}`},
 		{[]string{"-twocell", "MATS+"}, "twocell", `{"test":"MATS+"}`},
-		{[]string{"-twocell", "March SS", "-march-engine", "bitsim"}, "twocell", `{"test":"March SS","engine":"bitsim","rows":4,"cols":2}`},
+		{[]string{"-twocell", "March SS"}, "twocell", `{"test":"March SS","engine":"bitsim","rows":4,"cols":2}`},
 		{[]string{"-predict", "-open", "9"}, "predict", `{"open":9}`},
 		{[]string{"-predict"}, "predict", `{"open":4}`},
 		{[]string{"-defect", "short.cell.gnd, bridge.bl.bl@2e6"}, "predict",

@@ -1,6 +1,8 @@
 // Command marchsim runs march tests against fault-injected functional
 // memories and reports guaranteed detection — the engine behind the
-// paper's March PF claim and the classical-test comparison.
+// paper's March PF claim and the classical-test comparison. Every run
+// simulates on the bit-plane engine (internal/bitsim), whose cost does
+// not grow with the array except in the all-pairs -twocell mode.
 //
 // Usage:
 //
@@ -11,7 +13,7 @@
 //	marchsim -test "March C-" -twocell    # two-cell coverage certificate
 //	marchsim -test "March C-" -twocell -offsets 1,-1,64,-64
 //	marchsim -test "March PF" -prove      # static three-valued detection matrix
-//	marchsim -engine bitsim -geometry 1024x1024 -test "March PF"
+//	marchsim -geometry 1024x1024 -test "March PF"
 package main
 
 import (
@@ -24,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/memtest/partialfaults/internal/bitsim"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/lint"
@@ -38,10 +41,10 @@ func main() {
 
 // options holds the parsed flags, with -geometry and -offsets applied.
 type options struct {
-	test, notation, fault, float, engine string
-	rows, cols                           int
-	offsets                              []int
-	lint, twoCell, prove                 bool
+	test, notation, fault, float string
+	rows, cols                   int
+	offsets                      []int
+	lint, twoCell, prove         bool
 }
 
 // errUsage reports a command line the flag set rejected (it has
@@ -60,7 +63,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.rows, "rows", 4, "array rows")
 	fs.IntVar(&o.cols, "cols", 2, "array columns (cells per row; same column = same bit line)")
 	fs.StringVar(&geometry, "geometry", "", "array geometry as ROWSxCOLS (e.g. 1024x1024); overrides -rows/-cols")
-	fs.StringVar(&o.engine, "engine", "memsim", "simulation backend: memsim (scalar oracle) or bitsim (bit-plane, for megabit arrays)")
 	fs.BoolVar(&o.lint, "lint", false, "lint the tests and print the detection prover's findings before simulating")
 	fs.BoolVar(&o.twoCell, "twocell", false, "emit the two-cell coverage certificate (static cannot-fire column checked against the exhaustive coupling-fault simulation) instead of the single-cell matrix")
 	fs.StringVar(&offsets, "offsets", "", "with -twocell: comma-separated aggressor offsets δ (aggressor = victim + δ), e.g. 1,-1,64,-64; empty = all ordered pairs")
@@ -93,7 +95,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 // twoCellRequest is the service request of a -twocell run over the
 // named library test.
 func (o *options) twoCellRequest(test string) *request.TwoCell {
-	return &request.TwoCell{Test: test, Engine: o.engine, Rows: o.rows, Cols: o.cols, Offsets: o.offsets}
+	return &request.TwoCell{Test: test, Rows: o.rows, Cols: o.cols, Offsets: o.offsets}
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -108,11 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	eng, err := request.MarchEngine(o.engine)
-	if err != nil {
-		return fail("bad -engine: %v", err)
-	}
-
 	tests := march.All()
 	if o.test != "" {
 		if o.notation != "" {
@@ -171,6 +168,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// Custom tests, -fault and the combined catalogs have no request
+	// kind; they call the library on the engine the requests run on.
+	eng := bitsim.New()
 	if o.twoCell {
 		env, err := request.NewEnv(nil, nil, 0)
 		if err != nil {

@@ -72,13 +72,15 @@ func TestRunBadFlagCombos(t *testing.T) {
 	cases := [][]string{
 		{"-no-such-flag"},
 		{"-geometry", "1024x1024x2"},
-		{"-engine", "quantum"},
+		{"-engine", "memsim"}, // one engine: the flag is gone
 		{"-test", "March ZZ"},
 		{"-offsets", "1,-1"}, // offsets without -twocell
 		{"-twocell", "-offsets", "0"},
 		{"-fault", "not a primitive"},
 		{"-test", "custom", "-notation", "not march"},
-		{"-twocell", "March SS", "-engine", "bitsim", "-geometry", "8x8"}, // -twocell is a bool
+		{"-twocell", "March SS", "-geometry", "8x8"}, // -twocell is a bool
+		// 2⁶² cells × 16 order assignments overflow the scenario count.
+		{"-geometry", "2147483648x2147483648", "-test", "March PF"},
 	}
 	for _, args := range cases {
 		code, _, errw := runCLI(t, args...)
@@ -101,12 +103,14 @@ func TestRunSingleTestCoverage(t *testing.T) {
 	}
 }
 
+// TestRunBitsimEngine: every run simulates on the bit-plane engine, so
+// a megabit array costs what a small one does.
 func TestRunBitsimEngine(t *testing.T) {
-	code, out, errw := runCLI(t, "-engine", "bitsim", "-geometry", "8x8", "-test", "March PF")
+	code, out, errw := runCLI(t, "-geometry", "1024x1024", "-test", "March PF")
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errw)
 	}
-	if !strings.Contains(out, "March PF") {
+	if !strings.Contains(out, "March PF") || !strings.Contains(out, "| SF0 | ✓ |") {
 		t.Fatalf("output:\n%s", out)
 	}
 }

@@ -24,7 +24,7 @@ func TestTwoCellFlagsMatchServiceRequest(t *testing.T) {
 		{[]string{"-twocell", "-test", "March PF"}, `{"test":"March PF"}`},
 		{[]string{"-twocell", "-test", "March C-", "-rows", "3", "-cols", "3", "-offsets", "1,-1"},
 			`{"test":"March C-","rows":3,"cols":3,"offsets":[1,-1]}`},
-		{[]string{"-twocell", "-test", "March SS", "-engine", "bitsim", "-geometry", "64x64", "-offsets", "1,-1,64,-64"},
+		{[]string{"-twocell", "-test", "March SS", "-geometry", "64x64", "-offsets", "1,-1,64,-64"},
 			`{"test":"March SS","engine":"bitsim","rows":64,"cols":64,"offsets":[1,-1,64,-64]}`},
 	}
 	for _, c := range cases {

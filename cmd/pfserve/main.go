@@ -8,6 +8,10 @@
 // or SIGTERM it stops accepting connections and drains in-flight
 // requests before exiting.
 //
+// March requests run on the bit-plane engine ("engine"/"march_engine"
+// take only "bitsim"); rows and cols take 1 to 65 536, a two-cell
+// certificate at most 8 190 offset passes, a batch at most 64 requests.
+//
 // Usage:
 //
 //	pfserve -addr :8080 -store /var/lib/pfserve
@@ -18,7 +22,7 @@
 //	GET  /v1/healthz    liveness
 //	GET  /v1/metrics    request/store/singleflight/traced-sweep/stress counters
 //	POST /v1/inventory  {"engine":"behav|spice","sweep":"dense|traced","opens":[..],"rdefs":[..],"us":[..]}
-//	POST /v1/coverage   {"tests":[..],"catalog":"classical|paper","engine":"memsim|bitsim"}
+//	POST /v1/coverage   {"tests":[..],"catalog":"classical|paper","rows":4,"cols":2}
 //	POST /v1/twocell    {"test":"MATS+","offsets":[1,-1],"rows":4,"cols":4}
 //	POST /v1/matrix     {"tests":[..]}
 //	POST /v1/predict    {"open":4} or {"defects":[{"site":"bridge.bl.bl","ohms":2e6}]}

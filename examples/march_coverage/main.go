@@ -9,6 +9,7 @@ import (
 	"log"
 	"os"
 
+	"github.com/memtest/partialfaults/internal/bitsim"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/march"
@@ -34,19 +35,20 @@ func main() {
 		Name: "partial RDF1", FP: fp.MustParse("<1v [w0BL] r1v/0/0>"),
 		Float: defect.FloatBitLine, Partial: true,
 	}
+	eng := bitsim.New()
 	for _, e := range []march.CatalogEntry{plain, partial} {
-		det, caught, total, err := march.Detects(w1r1, 4, 1, e.Make)
+		v, err := eng.Detects(w1r1, 4, 1, e)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("{m(w1,r1)} vs %-13s detected=%v (%d/%d scenarios)\n", e.Name+":", det, caught, total)
+		fmt.Printf("{m(w1,r1)} vs %-13s detected=%v (%d/%d scenarios)\n", e.Name+":", v.Detected, v.Caught, v.Scenarios)
 	}
 	fmt.Println("→ the fault model alone suggests {m(w1,r1)} suffices; the partial form escapes it.")
 	fmt.Println()
 
 	// Full matrix over both catalogs.
 	catalog := append(march.ClassicalFaultCatalog(), march.PaperFaultCatalog()...)
-	results, err := march.CoverageMatrix(tests, catalog, 4, 2)
+	results, err := march.CoverageMatrixWith(eng, tests, catalog, 4, 2)
 	if err != nil {
 		log.Fatal(err)
 	}

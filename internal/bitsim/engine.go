@@ -2,6 +2,7 @@ package bitsim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/memtest/partialfaults/internal/march"
 	"github.com/memtest/partialfaults/internal/memsim"
@@ -25,10 +26,16 @@ func checkGeometry(t march.Test, rows, cols int) (geom, error) {
 	if err := t.Validate(); err != nil {
 		return geom{}, err
 	}
-	if rows <= 0 || cols <= 0 {
+	if rows <= 0 || cols <= 0 || rows > math.MaxInt/cols {
 		return geom{}, fmt.Errorf("bitsim: invalid geometry %dx%d", rows, cols)
 	}
 	return geom{rows: rows, cols: cols, n: rows * cols}, nil
+}
+
+// errCount reports a scenario count (cells or pairs × order
+// assignments) too large for an int, where it would wrap into a verdict.
+func (g geom) errCount() error {
+	return fmt.Errorf("bitsim: geometry %dx%d: the scenario count overflows an int", g.rows, g.cols)
 }
 
 func detection(caught, total int) march.Detection {
@@ -46,9 +53,13 @@ func (e *Engine) Detects(t march.Test, rows, cols int, entry march.CatalogEntry)
 	if err != nil {
 		return march.Detection{}, err
 	}
+	ts := traces(t)
+	if g.n > math.MaxInt/len(ts) {
+		return march.Detection{}, g.errCount()
+	}
 	l := newLanes(g, g.singleCellCuts())
 	caught, total := 0, 0
-	for _, elems := range traces(t) {
+	for _, elems := range ts {
 		det, err := runSingle(g, l, spec, elems)
 		if err != nil {
 			return march.Detection{}, err

@@ -42,12 +42,12 @@ func TestLineMediatedCFstReportsUnsupported(t *testing.T) {
 
 // TestCertificateFallsBackForLineMediatedCFst is the end-to-end bugfix
 // test: before the per-entry fallback, one such entry aborted the whole
-// TwoCellCertificateWith run under the bit-plane engine.
+// certificate run under the bit-plane engine.
 func TestCertificateFallsBackForLineMediatedCFst(t *testing.T) {
 	test := march.MATSPlus()
 	catalog := append(march.TwoCellCatalog()[:3], lineMediatedCFst())
 	eng := New()
-	cert, err := march.TwoCellCertificateWith(eng, test, catalog, 2, 2)
+	cert, err := march.TwoCellCertificateOffsetsWith(eng, test, catalog, 2, 2, nil)
 	if err != nil {
 		t.Fatalf("certificate aborted on the unsupported entry: %v", err)
 	}

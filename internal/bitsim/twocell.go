@@ -2,6 +2,7 @@ package bitsim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/march"
@@ -352,6 +353,10 @@ func (e *Engine) DetectsTwoCell(t march.Test, rows, cols int, entry march.TwoCel
 	if err != nil {
 		return march.Detection{}, err
 	}
+	// Count the n(n−1) ordered pairs before building their offsets.
+	if g.n-1 > math.MaxInt/g.n || g.n*(g.n-1) > math.MaxInt/len(t.OrderAssignments()) {
+		return march.Detection{}, g.errCount()
+	}
 	offsets := make([]int, 0, 2*(g.n-1))
 	for d := -(g.n - 1); d <= g.n-1; d++ {
 		if d != 0 {
@@ -369,15 +374,8 @@ func (e *Engine) DetectsTwoCellOffsets(t march.Test, rows, cols int, entry march
 	if err != nil {
 		return march.Detection{}, err
 	}
-	seen := map[int]bool{}
-	for _, d := range offsets {
-		if d == 0 {
-			return march.Detection{}, fmt.Errorf("bitsim: aggressor offset must be non-zero")
-		}
-		if seen[d] {
-			return march.Detection{}, fmt.Errorf("bitsim: duplicate aggressor offset %d", d)
-		}
-		seen[d] = true
+	if err := march.CheckOffsets(offsets); err != nil {
+		return march.Detection{}, fmt.Errorf("bitsim: %w", err)
 	}
 	return e.detectsTwoCellOffsets(g, t, entry, offsets)
 }
@@ -393,6 +391,10 @@ func (e *Engine) detectsTwoCellOffsets(g geom, t march.Test, entry march.TwoCell
 	ts := traces(t)
 	caught, total := 0, 0
 	for _, d := range offsets {
+		pairs := max(g.n-max(d, -d), 0) // in-array pairs of offset δ
+		if pairs > (math.MaxInt-total)/len(ts) {
+			return march.Detection{}, g.errCount()
+		}
 		l := newLanes(g, g.twoCellCuts(d))
 		for _, elems := range ts {
 			det, err := runTwoCell(g, l, s, d, elems)
@@ -400,7 +402,7 @@ func (e *Engine) detectsTwoCellOffsets(g geom, t march.Test, entry march.TwoCell
 				return march.Detection{}, err
 			}
 			caught += l.count(det)
-			total += max(g.n-max(d, -d), 0)
+			total += pairs
 		}
 	}
 	return detection(caught, total), nil

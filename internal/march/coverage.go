@@ -96,10 +96,3 @@ type CoverageResult struct {
 	// reported the entry unsupported and the harness fell back.
 	Engine string
 }
-
-// CoverageMatrix evaluates every test against every catalog entry on a
-// rows×cols array with guarantee semantics, using the scalar reference
-// backend. CoverageMatrixWith selects an alternative engine.
-func CoverageMatrix(tests []Test, catalog []CatalogEntry, rows, cols int) ([]CoverageResult, error) {
-	return CoverageMatrixWith(ScalarEngine{}, tests, catalog, rows, cols)
-}

@@ -107,27 +107,16 @@ func CoverageMatrixWith(eng Engine, tests []Test, catalog []CatalogEntry, rows, 
 	return out, nil
 }
 
-// TwoCellCertificateWith builds the two-cell certificate for one test
-// and geometry using the given backend for the exhaustive simulation
-// half (the static column is backend-independent). Entries the
-// backend does not support (ErrEngineUnsupported — e.g. line-mediated
-// CFst under the bit-plane engine) fall back to the scalar oracle
-// per-entry, so one such entry no longer aborts the whole certificate;
-// each row's Engine field records the backend that evaluated it.
-func TwoCellCertificateWith(eng Engine, t Test, catalog []TwoCellCatalogEntry, rows, cols int) (TwoCellCertificate, error) {
-	return twoCellCertificate(eng, t, catalog, rows, cols, nil)
-}
-
-// TwoCellCertificateOffsetsWith is TwoCellCertificateWith restricted to
-// the given aggressor offsets (aggressor = victim + δ). The engine must
-// implement TwoCellOffsetEngine — both ScalarEngine and the bit-plane
-// engine do — unless every entry falls back. A nil/empty offsets slice
-// means the full pair space.
+// TwoCellCertificateOffsetsWith builds the two-cell certificate of one
+// test and geometry on the given backend (the static column is
+// backend-independent), over the aggressor offsets (aggressor = victim
+// + δ) or, when offsets is empty, all ordered pairs; offsets need a
+// TwoCellOffsetEngine. An entry the backend reports as
+// ErrEngineUnsupported (e.g. line-mediated CFst under the bit-plane
+// engine) falls back to the scalar oracle instead of aborting the
+// certificate; each row's Engine field records the backend that
+// evaluated it.
 func TwoCellCertificateOffsetsWith(eng Engine, t Test, catalog []TwoCellCatalogEntry, rows, cols int, offsets []int) (TwoCellCertificate, error) {
-	return twoCellCertificate(eng, t, catalog, rows, cols, offsets)
-}
-
-func twoCellCertificate(eng Engine, t Test, catalog []TwoCellCatalogEntry, rows, cols int, offsets []int) (TwoCellCertificate, error) {
 	cert := TwoCellCertificate{Test: t.Name, Rows: rows, Cols: cols, Offsets: offsets}
 	detect := func(eng Engine, e TwoCellCatalogEntry) (Detection, error) {
 		if len(offsets) == 0 {

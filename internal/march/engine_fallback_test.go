@@ -77,11 +77,11 @@ func TestCoverageMatrixFallsBackPerEntry(t *testing.T) {
 func TestTwoCellCertificateFallsBackPerEntry(t *testing.T) {
 	test := MATSPlus()
 	catalog := TwoCellCatalog()[:4]
-	want, err := TwoCellCertificateWith(ScalarEngine{}, test, catalog, 2, 2)
+	want, err := TwoCellCertificateOffsetsWith(ScalarEngine{}, test, catalog, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := TwoCellCertificateWith(refusingEngine{refuse: catalog[2].Name}, test, catalog, 2, 2)
+	got, err := TwoCellCertificateOffsetsWith(refusingEngine{refuse: catalog[2].Name}, test, catalog, 2, 2, nil)
 	if err != nil {
 		t.Fatalf("refused entry aborted the certificate: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestTwoCellCertificateFallsBackPerEntry(t *testing.T) {
 
 func TestTwoCellCertificateRealErrorStillAborts(t *testing.T) {
 	catalog := TwoCellCatalog()[:2]
-	_, err := TwoCellCertificateWith(brokenEngine{breakName: catalog[0].Name}, MATSPlus(), catalog, 2, 2)
+	_, err := TwoCellCertificateOffsetsWith(brokenEngine{breakName: catalog[0].Name}, MATSPlus(), catalog, 2, 2, nil)
 	if err == nil || errors.Is(err, ErrEngineUnsupported) {
 		t.Fatalf("non-sentinel engine failure did not abort: %v", err)
 	}
@@ -223,25 +223,25 @@ func TestTwoCellCertificateOffsets(t *testing.T) {
 		}
 	}
 
-	// Nil offsets degrade to the full-pair certificate.
+	// Nil offsets degrade to the full-pair walk.
 	full, err := TwoCellCertificateOffsetsWith(ScalarEngine{}, test, catalog, 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := TwoCellCertificateWith(ScalarEngine{}, test, catalog, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full.Entries {
-		if full.Entries[i] != direct.Entries[i] {
-			t.Fatalf("nil-offsets row %d differs from full certificate", i)
+	for i, row := range full.Entries {
+		det, caught, total, err := DetectsTwoCellEntry(test, 2, 2, catalog[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Detected != det || row.Caught != caught || row.Scenarios != total {
+			t.Fatalf("nil-offsets row %d (%s): cert %+v vs full walk (%v %d/%d)", i, row.Entry, row, det, caught, total)
 		}
 	}
 
 	// FP-only sanity: an offset-restricted scenario space is a subset,
 	// so Caught can never exceed the full walk's.
 	for i := range cert.Entries {
-		if cert.Entries[i].Caught > direct.Entries[i].Caught {
+		if cert.Entries[i].Caught > full.Entries[i].Caught {
 			t.Fatalf("restricted walk caught more than the full walk for %s", cert.Entries[i].Entry)
 		}
 	}

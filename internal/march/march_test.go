@@ -289,7 +289,7 @@ func TestPartialFaultsEscapeClassicalTests(t *testing.T) {
 func TestCoverageMatrixShape(t *testing.T) {
 	tests := []Test{MATSPlus(), MarchPF()}
 	catalog := ClassicalFaultCatalog()
-	res, err := CoverageMatrix(tests, catalog, 2, 2)
+	res, err := CoverageMatrixWith(ScalarEngine{}, tests, catalog, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

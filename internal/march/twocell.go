@@ -30,15 +30,8 @@ func DetectsTwoCellEntry(t Test, rows, cols int, e TwoCellCatalogEntry) (bool, i
 // bit-plane engine's: Σ_δ (N − |δ|) in-array pairs per order
 // assignment.
 func DetectsTwoCellEntryOffsets(t Test, rows, cols int, e TwoCellCatalogEntry, offsets []int) (bool, int, int, error) {
-	seen := map[int]bool{}
-	for _, d := range offsets {
-		if d == 0 {
-			return false, 0, 0, fmt.Errorf("march: aggressor offset must be non-zero")
-		}
-		if seen[d] {
-			return false, 0, 0, fmt.Errorf("march: duplicate aggressor offset %d", d)
-		}
-		seen[d] = true
+	if err := CheckOffsets(offsets); err != nil {
+		return false, 0, 0, fmt.Errorf("march: %w", err)
 	}
 	if len(offsets) == 0 {
 		return false, 0, 0, fmt.Errorf("march: empty aggressor offset set")
@@ -54,6 +47,22 @@ func DetectsTwoCellEntryOffsets(t Test, rows, cols int, e TwoCellCatalogEntry, o
 		}
 		return pairs
 	})
+}
+
+// CheckOffsets validates an aggressor-offset list (aggressor = victim +
+// δ): zero is not a neighbour and a duplicate would double-count.
+func CheckOffsets(offsets []int) error {
+	seen := map[int]bool{}
+	for _, d := range offsets {
+		if d == 0 {
+			return fmt.Errorf("aggressor offset 0 is not a neighbour")
+		}
+		if seen[d] {
+			return fmt.Errorf("duplicate aggressor offset %d", d)
+		}
+		seen[d] = true
+	}
+	return nil
 }
 
 func detectsTwoCell(t Test, rows, cols int, build func(victim, aggressor int) memsim.TwoCellFault) (bool, int, int, error) {
@@ -154,12 +163,6 @@ func (c TwoCellCertificate) Violations() []TwoCellCertRow {
 		}
 	}
 	return out
-}
-
-// TwoCellCertificateFor builds the certificate for one test and
-// geometry over a catalog with the scalar reference backend.
-func TwoCellCertificateFor(t Test, catalog []TwoCellCatalogEntry, rows, cols int) (TwoCellCertificate, error) {
-	return TwoCellCertificateWith(ScalarEngine{}, t, catalog, rows, cols)
 }
 
 // EvaluateTwoCellCoverage runs a test against all 36 static two-cell FPs.

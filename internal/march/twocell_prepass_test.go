@@ -226,7 +226,7 @@ func TestCannotCompleteTwoCellOrderSplitInvariance(t *testing.T) {
 // dynamically (no violations) and carries both detected and
 // proved-miss rows for March C-.
 func TestTwoCellCertificate(t *testing.T) {
-	cert, err := TwoCellCertificateFor(MarchCMinus(), TwoCellCatalog(), 2, 2)
+	cert, err := TwoCellCertificateOffsetsWith(ScalarEngine{}, MarchCMinus(), TwoCellCatalog(), 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWriteTwoCellCoverage(t *testing.T) {
-	cert, err := march.TwoCellCertificateFor(march.MarchCMinus(), march.TwoCellCatalog(), 2, 2)
+	cert, err := march.TwoCellCertificateOffsetsWith(march.ScalarEngine{}, march.MarchCMinus(), march.TwoCellCatalog(), 2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,25 +123,19 @@ type Coverage struct {
 	Tests []string `json:"tests,omitempty"`
 	// Catalog is "classical" (default) or "paper".
 	Catalog string `json:"catalog,omitempty"`
-	// Engine is "memsim" (default, scalar oracle) or "bitsim".
+	// Engine is "bitsim", the default and the only march engine.
 	Engine string `json:"engine,omitempty"`
 	Rows   int    `json:"rows,omitempty"`
 	Cols   int    `json:"cols,omitempty"`
 
-	engine  march.Engine
 	tests   []march.Test
 	catalog []march.CatalogEntry
 }
 
-// Normalize fills the defaults and resolves the engine, tests and
-// catalog.
+// Normalize fills the defaults and resolves the tests and catalog.
 func (q *Coverage) Normalize(*Env) (err error) {
-	q.Engine = cmp.Or(q.Engine, engineMemsim)
 	q.Catalog = cmp.Or(q.Catalog, "classical")
-	if err := geometry(&q.Rows, &q.Cols); err != nil {
-		return err
-	}
-	if q.engine, err = MarchEngine(q.Engine); err != nil {
+	if err := marchWalk(&q.Engine, &q.Rows, &q.Cols); err != nil {
 		return err
 	}
 	if q.tests, err = Tests(q.Tests); err != nil {
@@ -167,13 +161,14 @@ func (q *Coverage) Key(env *Env) store.Key {
 // Run simulates the coverage matrix in one pool slot.
 func (q *Coverage) Run(ctx context.Context, env *Env) ([]march.CoverageResult, error) {
 	return inPool(ctx, env, func() ([]march.CoverageResult, error) {
-		return march.CoverageMatrixWith(q.engine, q.tests, q.catalog, q.Rows, q.Cols)
+		return march.CoverageMatrixWith(bitPlane, q.tests, q.catalog, q.Rows, q.Cols)
 	})
 }
 
 // TwoCell asks for a two-cell coverage certificate.
 type TwoCell struct {
-	Test   string `json:"test"`
+	Test string `json:"test"`
+	// Engine is "bitsim", the default and the only march engine.
 	Engine string `json:"engine,omitempty"`
 	Rows   int    `json:"rows,omitempty"`
 	Cols   int    `json:"cols,omitempty"`
@@ -181,31 +176,39 @@ type TwoCell struct {
 	// empty means all ordered pairs.
 	Offsets []int `json:"offsets,omitempty"`
 
-	engine march.Engine
-	test   march.Test
+	test march.Test
 }
 
-// Normalize fills the defaults and resolves the engine and test.
+// maxTwoCellPasses caps the aggressor-offset passes of a certificate,
+// which cost the same at any geometry: 8 190 is the all-pairs count at
+// 64×64.
+const maxTwoCellPasses = 8190
+
+// Normalize fills the defaults, resolves the test and bounds the
+// offset passes: one per listed offset, or 2(rows·cols−1) for all
+// ordered pairs.
 func (q *TwoCell) Normalize(*Env) error {
 	if q.Test == "" {
 		return badRequest("missing march test name")
 	}
-	q.Engine = cmp.Or(q.Engine, engineMemsim)
-	if err := geometry(&q.Rows, &q.Cols); err != nil {
+	if err := marchWalk(&q.Engine, &q.Rows, &q.Cols); err != nil {
 		return err
 	}
 	if err := CheckOffsets(q.Offsets); err != nil {
 		return err
 	}
-	eng, err := MarchEngine(q.Engine)
-	if err != nil {
-		return err
+	passes := len(q.Offsets)
+	if passes == 0 {
+		passes = 2 * (q.Rows*q.Cols - 1)
+	}
+	if passes > maxTwoCellPasses {
+		return badRequest("a %dx%d certificate makes %d aggressor-offset passes, more than %d; name its offsets (e.g. [1,-1,%d,-%d], the physical neighbours)", q.Rows, q.Cols, passes, maxTwoCellPasses, q.Cols, q.Cols)
 	}
 	tests, err := Tests([]string{q.Test})
 	if err != nil {
 		return err
 	}
-	q.engine, q.test = eng, tests[0]
+	q.test = tests[0]
 	return nil
 }
 
@@ -217,7 +220,7 @@ func (q *TwoCell) Key(env *Env) store.Key {
 // Run builds the certificate over the two-cell catalog in one pool slot.
 func (q *TwoCell) Run(ctx context.Context, env *Env) (march.TwoCellCertificate, error) {
 	return inPool(ctx, env, func() (march.TwoCellCertificate, error) {
-		return march.TwoCellCertificateOffsetsWith(q.engine, q.test, march.TwoCellCatalog(), q.Rows, q.Cols, q.Offsets)
+		return march.TwoCellCertificateOffsetsWith(bitPlane, q.test, march.TwoCellCatalog(), q.Rows, q.Cols, q.Offsets)
 	})
 }
 
@@ -336,7 +339,7 @@ func (q *Predict) Run(_ context.Context, env *Env) (Prediction, error) {
 type Stress struct {
 	// Engine is "behav" (default) or "spice".
 	Engine string `json:"engine,omitempty"`
-	// MarchEngine is "memsim" (default) or "bitsim".
+	// MarchEngine is "bitsim", the default and the only march engine.
 	MarchEngine string `json:"march_engine,omitempty"`
 	// Corners is a semicolon-separated corner list (built-in names or
 	// name:key=val,... derivations); empty means the built-in default
@@ -355,11 +358,10 @@ type Stress struct {
 	// Inventory.
 	Sweep string `json:"sweep,omitempty"`
 
-	corners     []stress.Spec
-	opens       []defect.Open
-	marchEngine march.Engine
-	tests       []march.Test
-	mode        analysis.SweepMode
+	corners []stress.Spec
+	opens   []defect.Open
+	tests   []march.Test
+	mode    analysis.SweepMode
 }
 
 // Normalize validates the request, derives the grid axes and rewrites
@@ -371,14 +373,10 @@ func (q *Stress) Normalize(env *Env) (err error) {
 	if q.mode, q.opens, err = normalizeSweep(env, &q.Engine, &q.Sweep, q.Opens, &q.Grid); err != nil {
 		return err
 	}
-	q.MarchEngine = cmp.Or(q.MarchEngine, engineMemsim)
+	if err := marchWalk(&q.MarchEngine, &q.Rows, &q.Cols); err != nil {
+		return err
+	}
 	if q.corners, q.Corners, err = corners(q.Corners, env.Tech); err != nil {
-		return err
-	}
-	if err := geometry(&q.Rows, &q.Cols); err != nil {
-		return err
-	}
-	if q.marchEngine, err = MarchEngine(q.MarchEngine); err != nil {
 		return err
 	}
 	q.tests, err = Tests(q.Tests)
@@ -421,7 +419,7 @@ func (q *Stress) Run(ctx context.Context, env *Env) (*stress.Result, error) {
 		Corners: q.corners,
 		Engine:  q.Engine,
 		Params:  env.Params, Tech: env.Tech,
-		MarchEngine: q.marchEngine,
+		MarchEngine: bitPlane,
 		Opens:       q.opens,
 		RDefs:       q.RDefs, Us: q.Us,
 		Tests: q.tests,

@@ -11,9 +11,9 @@
 //
 // The CLIs build the same values from their flags, so a CLI run and a
 // service request that normalize to one key compute one result. Every
-// request decision (engine names, march engines, test and open lookup,
-// grid axes, aggressor offsets, stress corners) has exactly one resolver
-// here.
+// request decision (engine names, test and open lookup, grid axes,
+// geometry, aggressor offsets, stress corners) has exactly one resolver
+// here; every march request runs on the one bit-plane engine.
 package request
 
 import (
@@ -31,13 +31,10 @@ import (
 	"github.com/memtest/partialfaults/internal/numeric"
 )
 
-// Engine names. The inventory engines pick the simulation model; the
-// march engines pick the march-walk backend.
+// Inventory engine names: each picks a simulation model.
 const (
-	engineBehav  = "behav"
-	engineSpice  = "spice"
-	engineMemsim = "memsim"
-	engineBitsim = "bitsim"
+	engineBehav = "behav"
+	engineSpice = "spice"
 )
 
 // BadRequest is the error Normalize returns when the request itself is
@@ -151,21 +148,9 @@ func (e *Env) Factory(engine string) (analysis.Factory, error) {
 	return behav.NewFactory(e.Params), nil
 }
 
-// bitPlane is the bit-plane engine every request shares: it holds no
-// state, so resolving a name builds nothing.
+// bitPlane is the one march engine every request runs on. It holds no
+// state, so all requests share it.
 var bitPlane = bitsim.New()
-
-// MarchEngine resolves a march-walk backend name: "" or "memsim" for
-// the scalar oracle, "bitsim" for the bit-plane engine.
-func MarchEngine(name string) (march.Engine, error) {
-	switch name {
-	case "", engineMemsim:
-		return march.ScalarEngine{}, nil
-	case engineBitsim:
-		return bitPlane, nil
-	}
-	return nil, badRequest("unknown march engine %q (want memsim or bitsim)", name)
-}
 
 // Tests resolves march test names against the library; no names means
 // the whole library.
@@ -199,28 +184,32 @@ func Opens(ids []int) ([]defect.Open, error) {
 	return out, nil
 }
 
-// geometry fills the default 4×2 march-walk geometry into zero fields
-// and rejects negative ones.
-func geometry(rows, cols *int) error {
-	if *rows < 0 || *cols < 0 {
-		return badRequest("rows and cols must not be negative (0 takes the default), not %dx%d", *rows, *cols)
+// maxSide caps rows and cols. The largest array the repository runs is
+// 1024×1024; the cap keeps every scenario count of a march walk far
+// inside an int.
+const maxSide = 1 << 16
+
+// marchWalk normalizes the fields every march request shares. The
+// engine field stays only so that bodies naming it still decode: empty
+// and "bitsim" both normalize to "bitsim", so both spellings address
+// one store key. Zero sides take the default 4×2 geometry; a negative
+// side or one over maxSide is rejected.
+func marchWalk(engine *string, rows, cols *int) error {
+	if *engine != "" && *engine != bitPlane.Name() {
+		return badRequest("unknown march engine %q: requests run on bitsim (the scalar memsim walk is a test oracle and is not served)", *engine)
 	}
-	*rows, *cols = cmp.Or(*rows, 4), cmp.Or(*cols, 2)
+	if *rows < 0 || *cols < 0 || *rows > maxSide || *cols > maxSide {
+		return badRequest("rows and cols take 1 to %d (0 takes the default), not %dx%d", maxSide, *rows, *cols)
+	}
+	*engine, *rows, *cols = bitPlane.Name(), cmp.Or(*rows, 4), cmp.Or(*cols, 2)
 	return nil
 }
 
-// CheckOffsets validates an aggressor-offset list (aggressor = victim +
-// δ): zero is not a neighbour and a duplicate would double-count.
+// CheckOffsets validates an aggressor-offset list (march.CheckOffsets)
+// as a client error.
 func CheckOffsets(offsets []int) error {
-	seen := map[int]bool{}
-	for _, d := range offsets {
-		if d == 0 {
-			return badRequest("offset 0 is not a neighbour")
-		}
-		if seen[d] {
-			return badRequest("duplicate offset %d", d)
-		}
-		seen[d] = true
+	if err := march.CheckOffsets(offsets); err != nil {
+		return badRequest("%v", err)
 	}
 	return nil
 }

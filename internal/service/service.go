@@ -38,6 +38,10 @@ import (
 // reason to send — a batch of explicit-grid requests — is a few KiB.
 const maxBodyBytes = 1 << 20
 
+// maxBatchItems caps a batch, whose items each hold a goroutine and a
+// whole response until it is encoded; tests and README send at most 5.
+const maxBatchItems = 64
+
 // Config parameterizes a Server.
 type Config struct {
 	// StoreDir, when non-empty, persists results as content-addressed
@@ -358,8 +362,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if len(q.Requests) == 0 {
-		writeError(w, request.BadRequest("empty batch"))
+	if len(q.Requests) == 0 || len(q.Requests) > maxBatchItems {
+		writeError(w, request.BadRequest(fmt.Sprintf("a batch takes 1 to %d requests, not %d", maxBatchItems, len(q.Requests))))
 		return
 	}
 	results := make([]BatchItemResult, len(q.Requests))

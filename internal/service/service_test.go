@@ -362,6 +362,9 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/twocell", `{"test":"MATS+","offsets":[0]}`},
 		{"/v1/predict", `{"defects":[{"site":"nowhere"}]}`},
 		{"/v1/batch", `{"requests":[]}`},
+		{"/v1/batch", `{"requests":[` + strings.Repeat(`{"kind":"matrix","body":{}},`, maxBatchItems) + `{"kind":"matrix","body":{}}]}`},
+		{"/v1/coverage", `{"engine":"memsim"}`},
+		{"/v1/twocell", `{"test":"MATS+","engine":"memsim"}`},
 	}
 	for _, c := range cases {
 		code, buf := post(t, s, c.path, c.body)
@@ -523,6 +526,7 @@ func TestStressBadRequests(t *testing.T) {
 		{`{"corners":"hot:speed=9"}`},         // unknown key
 		{`{"engine":"verilog"}`},              // unknown engine
 		{`{"march_engine":"quantum"}`},        // unknown march engine
+		{`{"march_engine":"memsim"}`},         // the scalar oracle is not served
 		{`{"tests":["March ZZ"]}`},            // unknown test
 		{`{"opens":[99]}`},                    // unknown open
 		{`{"corners":"lights-out:vdd=0.05"}`}, // derives an invalid technology

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -165,9 +166,19 @@ func TestBodyCap(t *testing.T) {
 	}
 }
 
-// TestBadGridRejected: grid bounds that cannot make a sweep are client
-// errors, answered 400 — also inside a batch, whose items run on their
-// own goroutines.
+// offsets renders the aggressor offsets 1…n as a JSON list body.
+func offsets(n int) string {
+	ds := make([]string, n)
+	for i := range ds {
+		ds[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(ds, ",")
+}
+
+// TestBadGridRejected: grid bounds that cannot make a sweep, geometries
+// beyond the side cap and two-cell certificates over more than 8 190
+// offset passes are client errors, answered 400 — also inside a batch,
+// whose items run on their own goroutines.
 func TestBadGridRejected(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for _, c := range []struct{ path, body string }{
@@ -182,6 +193,11 @@ func TestBadGridRejected(t *testing.T) {
 		{"/v1/coverage", `{"engine":"bitsim","rows":-1,"cols":4}`},
 		{"/v1/coverage", `{"rows":4,"cols":-2}`},
 		{"/v1/twocell", `{"test":"March SS","engine":"bitsim","rows":-4}`},
+		{"/v1/coverage", `{"engine":"bitsim","rows":2147483648,"cols":2147483648,"tests":["March PF"]}`},
+		{"/v1/coverage", `{"engine":"bitsim","rows":3037000500,"cols":3037000500,"tests":["March PF"]}`},
+		{"/v1/stress", `{"march_engine":"bitsim","opens":[4],"rdefs":[1e4],"us":[0],"rows":2147483648,"cols":2147483648}`},
+		{"/v1/twocell", `{"test":"March SS","engine":"bitsim","rows":65,"cols":64}`},
+		{"/v1/twocell", `{"test":"March SS","engine":"bitsim","rows":64,"cols":64,"offsets":[` + offsets(8191) + `]}`},
 	} {
 		if code, buf := post(t, s, c.path, c.body); code != http.StatusBadRequest {
 			t.Errorf("%s %s: status %d (%s), want 400", c.path, c.body, code, buf)

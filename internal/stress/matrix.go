@@ -7,6 +7,7 @@ import (
 
 	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/behav"
+	"github.com/memtest/partialfaults/internal/bitsim"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/dram"
 	"github.com/memtest/partialfaults/internal/fp"
@@ -30,8 +31,8 @@ type Config struct {
 	// Tech is the base electrical technology for the spice engine; the
 	// zero value means dram.Default().
 	Tech dram.Technology
-	// MarchEngine evaluates per-corner coverage; nil means the scalar
-	// oracle.
+	// MarchEngine evaluates per-corner coverage; nil means the
+	// bit-plane engine.
 	MarchEngine march.Engine
 	// Opens restricts the analyzed opens; nil means all simulated opens.
 	Opens []defect.Open
@@ -160,8 +161,8 @@ func CatalogFromRows(rows []analysis.Row) []march.CatalogEntry {
 	return out
 }
 
-// Injectable reports whether the functional engine can inject the
-// entry, probing the scalar engine's fault compiler directly. A
+// Injectable reports whether the march engines can inject the entry,
+// probing the fault compiler both of them share directly. A
 // corner's completion search can legitimately find completing prefixes
 // the engine cannot express — most commonly a prefix mixing victim and
 // bit-line writes — and such entries must be withheld from the
@@ -194,7 +195,7 @@ func Analyze(cfg Config) (*Result, error) {
 	}
 	marchEng := cfg.MarchEngine
 	if marchEng == nil {
-		marchEng = march.ScalarEngine{}
+		marchEng = bitsim.New()
 	}
 	params := cfg.Params
 	if params == (behav.Params{}) {
