@@ -10,8 +10,9 @@ import (
 )
 
 // benchSnapshot is the schema of the committed BENCH_*.json files: one
-// record per tracked benchmark with the wall-clock cost and the custom
-// metrics it reports. Snapshots committed across PRs record the perf
+// record per tracked benchmark with the wall-clock cost, the heap
+// allocations per op (testing.Benchmark always measures them) and the
+// custom metrics it reports. Snapshots committed across PRs record the perf
 // trajectory of the sweep pipeline; compare like with like — the files
 // also record the host, and the repo's history spans machines.
 type benchSnapshot struct {
@@ -24,9 +25,11 @@ type benchSnapshot struct {
 }
 
 type benchResult struct {
-	Iterations int                `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Iterations  int                `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	AllocsPerOp int64              `json:"allocs_per_op"`
+	BytesPerOp  int64              `json:"bytes_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // TestBenchSnapshot records a benchmark snapshot when BENCH_SNAPSHOT is
@@ -74,11 +77,13 @@ func TestBenchSnapshot(t *testing.T) {
 			t.Fatalf("%s did not run (a b.Fatal inside the benchmark aborts the snapshot)", tb.name)
 		}
 		snap.Results[tb.name] = benchResult{
-			Iterations: r.N,
-			NsPerOp:    float64(r.NsPerOp()),
-			Metrics:    r.Extra,
+			Iterations:  r.N,
+			NsPerOp:     float64(r.NsPerOp()),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			Metrics:     r.Extra,
 		}
-		t.Logf("%s: %d iter, %.3g ms/op", tb.name, r.N, float64(r.NsPerOp())/1e6)
+		t.Logf("%s: %d iter, %.3g ms/op, %d allocs/op", tb.name, r.N, float64(r.NsPerOp())/1e6, r.AllocsPerOp())
 	}
 	buf, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {

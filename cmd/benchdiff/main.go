@@ -42,9 +42,13 @@ type snapshot struct {
 }
 
 type result struct {
-	Iterations int                `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Iterations int     `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// AllocsPerOp and BytesPerOp are nil for a snapshot written before
+	// the schema carried them.
+	AllocsPerOp *int64             `json:"allocs_per_op,omitempty"`
+	BytesPerOp  *int64             `json:"bytes_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 func main() {
@@ -141,6 +145,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		fmt.Fprintf(stdout, "%-42s %12.3f %12.3f %+7.1f%%%s\n", n, o.NsPerOp/1e6, nw.NsPerOp/1e6, delta*100, mark)
+		// Allocation counts are shown when both snapshots carry them;
+		// they neither band nor gate the exit code.
+		if o.AllocsPerOp != nil && nw.AllocsPerOp != nil {
+			fmt.Fprintf(stdout, "  allocs/op: %d -> %d\n", *o.AllocsPerOp, *nw.AllocsPerOp)
+		}
+		if o.BytesPerOp != nil && nw.BytesPerOp != nil {
+			fmt.Fprintf(stdout, "  B/op: %d -> %d\n", *o.BytesPerOp, *nw.BytesPerOp)
+		}
 		// Custom metrics are correctness counters (inventory sizes,
 		// faulty fractions); any drift is worth a line even though it
 		// does not gate the exit code.

@@ -276,3 +276,62 @@ func TestNoiseBands(t *testing.T) {
 		t.Errorf("two samples must not band: %v", bands)
 	}
 }
+
+// The snapshot writer records allocs_per_op and bytes_per_op, zero
+// included. benchdiff reads them back and prints old -> new whichever
+// way they move, without failing on them, and prints nothing for a
+// snapshot written before the schema carried them.
+func TestAllocsRoundTrip(t *testing.T) {
+	// The writer's encoding (benchResult in bench_snapshot_test.go).
+	written := func(allocs, bytes int) string {
+		return fmt.Sprintf(`{"goos":"linux","goarch":"amd64","num_cpu":4,"results":{"BenchmarkFast":`+
+			`{"iterations":100,"ns_per_op":1000000,"allocs_per_op":%d,"bytes_per_op":%d}}}`, allocs, bytes)
+	}
+	dir := t.TempDir()
+	path := func(name, doc string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	before := path("before.json", written(12, 4096))
+	after := path("after.json", written(0, 0))
+
+	s, err := load(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := s.Results["BenchmarkFast"]; r.AllocsPerOp == nil || *r.AllocsPerOp != 0 || r.BytesPerOp == nil || *r.BytesPerOp != 0 {
+		t.Fatalf("zero allocs must read back as present zeros: %+v", r)
+	}
+	buf, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(buf), `"allocs_per_op":0,"bytes_per_op":0`) {
+		t.Errorf("re-encoding dropped the zero counts: %s", buf)
+	}
+
+	for _, tc := range []struct{ old, new, want string }{
+		{before, after, "allocs/op: 12 -> 0\n  B/op: 4096 -> 0"},
+		{after, before, "allocs/op: 0 -> 12\n  B/op: 0 -> 4096"},
+	} {
+		var out, errOut strings.Builder
+		if code := run([]string{tc.old, tc.new}, &out, &errOut); code != 0 {
+			t.Fatalf("exit = %d, want 0 (allocations do not gate)\n%s", code, out.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("output lacks %q:\n%s", tc.want, out.String())
+		}
+	}
+
+	legacy := writeSnap(t, "legacy.json", baseSnap())
+	var out, errOut strings.Builder
+	if code := run([]string{legacy, after}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d, want 0\n%s", code, out.String())
+	}
+	if strings.Contains(out.String(), "allocs/op") || strings.Contains(out.String(), "B/op") {
+		t.Errorf("a snapshot without allocation counts must print none:\n%s", out.String())
+	}
+}

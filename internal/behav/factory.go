@@ -34,8 +34,8 @@ func (a *memory) VictimBit() int { return a.m.CellBit(0) }
 // modelState is the dynamic state of a Model within one analysis
 // protocol: parameters, capacitances and site resistances are fixed
 // after construction and defect injection, so node voltages plus the
-// clock fully determine all subsequent behaviour. (accG/accGV, the
-// compiled program and gcDt are per-step/per-run scratch.)
+// clock fully determine all subsequent behaviour. (The step kernel's
+// per-phase constants live on run's stack, not in the Model.)
 type modelState struct {
 	v    [numNodes]float64
 	time float64

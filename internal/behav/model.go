@@ -137,14 +137,6 @@ type Model struct {
 	cap   [numNodes]float64
 	sites [numSites]float64
 	time  float64
-
-	accG, accGV [numNodes]float64
-
-	// Compiled step program, rebuilt by every run() call from the live
-	// parameters and site resistances (see ops.go). prog and gcDt are
-	// scratch, not state: a value copy of Model remains a full snapshot.
-	prog []term
-	gcDt [numNodes]float64
 }
 
 // New builds a healthy analytical column in the standby state.

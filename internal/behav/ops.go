@@ -2,6 +2,7 @@ package behav
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/memtest/partialfaults/internal/numeric"
 )
@@ -27,288 +28,228 @@ type phase struct {
 // simultaneous competition — e.g. the write driver overpowering the
 // sense amplifier — by conductance ratio, like the electrical model.
 //
-// The phase's resistive topology is compiled once per call into a term
-// program with all static conductances (and the per-step C/dt factors)
-// precomputed, so the inner step loop runs no divisions for static
-// terms. Compilation reads the live parameters and site resistances, so
-// there is no cache to invalidate; the term order matches the legacy
-// step() exactly, keeping every accumulation — and therefore every
-// result bit — identical.
+// The step is a straight-line kernel: one update line per node over a
+// block of per-phase constants that run builds on its own stack, so an
+// operation allocates nothing. Only two terms stay dynamic. The victim
+// access conductance is a function of the word-line gate voltage alone
+// and is recomputed only when that voltage's bits change; the sense
+// amplifier picks one of two precomputed sides by the sign of its input.
+//
+// The kernel is bit-identical to the term-by-term accumulation it
+// replaced (kept as the test oracle in oracle_test.go). Every node sums
+// its terms in that accumulation's order. A path the phase lacks enters
+// with conductance 0, which leaves every sum unchanged unless a voltage
+// is −0; the update never produces one, and a caller that forces −0 can
+// change only the sign of a zero. Every product is rounded on its own
+// (float64(a*b)), so no target fuses it into a multiply-add, and nothing
+// is reassociated or replaced by a reciprocal.
 func (m *Model) run(dur float64, ph phase) {
 	steps := int(dur/m.P.DT + 0.5)
 	if steps < 1 {
 		steps = 1
 	}
 	dt := dur / float64(steps)
-	m.compile(ph, dt)
+	k := m.kernel(ph, dt)
+	voff := m.P.VOffset
+	gc, den := &k.gc, &k.den
+	// The step reads the old voltages from one buffer and writes the new
+	// ones to the other; the two swap roles every step.
+	buf := [2][numNodes]float64{m.v}
+	clock := m.time
 	for s := 0; s < steps; s++ {
-		m.stepProg(dt)
+		v, nv := &buf[s&1], &buf[s&1^1]
+		if math.Float64bits(v[nWL0Gate]) != k.wlBits {
+			k.victim(v[nWL0Gate])
+		}
+		// Negated as the accumulation wrote it, so a NaN input picks
+		// the same side.
+		sa := &k.sa[0]
+		if !(v[nBTSA]-v[nBCSA]+voff >= 0) {
+			sa = &k.sa[1]
+		}
+		nv[nWL0Gate] = (float64(gc[nWL0Gate]*v[nWL0Gate]) + k.pWL) / den[nWL0Gate]
+		nv[nBTPre] = (float64(gc[nBTPre]*v[nBTPre]) +
+			(float64(k.g4*v[nBTCell]) + k.pPreT)) / den[nBTPre]
+		nv[nBTCell] = (float64(gc[nBTCell]*v[nBTCell]) +
+			(((((float64(k.g4*v[nBTPre]) + float64(k.g5*v[nBTRef])) + float64(k.gv*v[nCell0])) +
+				float64(k.gWL1*v[nCell1])) + k.pBLVdd) + float64(k.gBLBL*v[nBCCell]))) / den[nBTCell]
+		nv[nBTRef] = (float64(gc[nBTRef]*v[nBTRef]) +
+			(float64(k.g5*v[nBTCell]) + float64(k.g6*v[nBTSA]))) / den[nBTRef]
+		nv[nBTSA] = (float64(gc[nBTSA]*v[nBTSA]) +
+			((float64(k.g6*v[nBTRef]) + float64(k.g8*v[nBTIO])) + sa.pT)) / sa.denT
+		nv[nBTIO] = (float64(gc[nBTIO]*v[nBTIO]) +
+			(float64(k.g8*v[nBTSA]) + float64(k.gCSL*v[nIO]))) / den[nBTIO]
+		nv[nBCPre] = (float64(gc[nBCPre]*v[nBCPre]) +
+			(float64(k.gw*v[nBCCell]) + k.pPreC)) / den[nBCPre]
+		nv[nBCCell] = (float64(gc[nBCCell]*v[nBCCell]) +
+			((float64(k.gw*v[nBCPre]) + float64(k.gw*v[nBCRef])) + float64(k.gBLBL*v[nBTCell]))) / den[nBCCell]
+		nv[nBCRef] = (float64(gc[nBCRef]*v[nBCRef]) +
+			((float64(k.gw*v[nBCCell]) + float64(k.gw*v[nBCSA])) + float64(k.gDWLC*v[nRefC]))) / den[nBCRef]
+		nv[nBCSA] = (float64(gc[nBCSA]*v[nBCSA]) +
+			((float64(k.gw*v[nBCRef]) + float64(k.gw*v[nBCIO])) + sa.pC)) / sa.denC
+		nv[nBCIO] = (float64(gc[nBCIO]*v[nBCIO]) +
+			(float64(k.gw*v[nBCSA]) + float64(k.gCSL*v[nIOB]))) / den[nBCIO]
+		// The short to ground adds g·0 = +0 after the victim term, which
+		// leaves the sum unchanged; only its conductance enters den.
+		nv[nCell0] = (float64(gc[nCell0]*v[nCell0]) +
+			(float64(k.gv*v[nBTCell]) + float64(k.gCells*v[nCell1]))) / den[nCell0]
+		nv[nCell1] = (float64(gc[nCell1]*v[nCell1]) +
+			(float64(k.gWL1*v[nBTCell]) + float64(k.gCells*v[nCell0]))) / den[nCell1]
+		nv[nRefC] = (float64(gc[nRefC]*v[nRefC]) +
+			(k.pRefC + float64(k.gDWLC*v[nBCRef]))) / den[nRefC]
+		nv[nRefT] = (float64(gc[nRefT]*v[nRefT]) + k.pRefT) / den[nRefT]
+		nv[nIO] = (float64(gc[nIO]*v[nIO]) +
+			((float64(k.gCSL*v[nBTIO]) + k.pIO) + float64(k.gOut*v[nOutBuf]))) / den[nIO]
+		nv[nIOB] = (float64(gc[nIOB]*v[nIOB]) +
+			(float64(k.gCSL*v[nBCIO]) + k.pIOB)) / den[nIOB]
+		nv[nOutBuf] = (float64(gc[nOutBuf]*v[nOutBuf]) + float64(k.gOut*v[nIO])) / den[nOutBuf]
+		clock += dt
 	}
+	m.v, m.time = buf[steps&1], clock
 }
 
-// termKind discriminates the compiled step-program entries.
-type termKind uint8
+// kernel is one phase's constant block for the Jacobi step. A g field
+// is a conductance, 0 when the phase lacks the path; a p field is a
+// source's g·v_s product, 0 when the phase lacks the source.
+type kernel struct {
+	gc  [numNodes]float64 // C/dt
+	den [numNodes]float64 // gc + Σg; BTSA and BCSA take theirs from sa
 
-const (
-	tPair   termKind = iota // static resistive pair: a—b with conductance g
-	tSrc                    // static source: node a pulled to vs with conductance g
-	tVictim                 // victim access device (gate-voltage dependent)
-	tSense                  // rule-based sense amplifier (sign dependent)
-)
+	g4, g5, g6, g8 float64 // BT chain through the Open 4, 5, 6 and 8 sites
+	gw             float64 // BC chain at the wire floor
+	gWL1           float64 // aggressor access device (wl1)
+	gDWLC          float64 // reference-cell access device (dwlc)
+	gCSL           float64 // column select (csl)
+	gOut           float64 // output switch (ren)
+	gBLBL, gCells  float64 // bridges
+	gBLVdd, gGnd   float64 // shorts
 
-// term is one entry of the compiled per-phase step program.
-type term struct {
-	kind termKind
-	a, b int
-	g    float64
-	vs   float64
+	pWL, pPreT, pPreC, pRefC, pRefT, pBLVdd, pIO, pIOB float64
+
+	// sa holds the sense amplifier's two sides: [0] for a non-negative
+	// input (BT pulled to VDD, BC down through the Open 7 site), [1] for
+	// a negative one. Without the sense phase both are the same.
+	sa [2]struct{ denT, pT, denC, pC float64 }
+
+	// Victim access device, a function of the word-line gate voltage:
+	// gv and the dens of BTCell and Cell0 are valid for the voltage
+	// whose bits are wlBits.
+	gv      float64
+	wlBits  uint64
+	von     float64 // WLOnFraction·VPP
+	g45     float64 // BTCell's conductance sum before the victim term
+	rAccess float64
+	rOpen1  float64
 }
 
-// compile lowers the phase's resistive topology into m.prog, precomputing
-// every static conductance, and fills m.gcDt with the per-node C/dt
-// factors for the update. Terms appear in exactly the order the legacy
-// step() accumulates them; only the victim access device and the sense
-// amplifier stay dynamic (they depend on per-step voltages) and read the
-// live parameters when executed.
-func (m *Model) compile(ph phase, dt float64) {
-	t := m.P.Tech
-	rw := m.P.RWire
+// kernel builds the constant block of one phase for step dt, reading
+// the live parameters and site resistances, and sets the victim terms
+// for the present word-line gate voltage. Each conductance is 1/r of
+// the same r the term-by-term accumulation used.
+func (m *Model) kernel(ph phase, dt float64) kernel {
+	p := &m.P
+	t := &p.Tech
+	rw := p.RWire
 	site := func(i int) float64 {
 		if r := m.sites[i]; r > rw {
 			return r
 		}
 		return rw
 	}
-	p := m.prog[:0]
-	addPair := func(a, b int, r float64) { p = append(p, term{kind: tPair, a: a, b: b, g: 1 / r}) }
-	addSrc := func(a int, vs, r float64) { p = append(p, term{kind: tSrc, a: a, g: 1 / r, vs: vs}) }
+	var k kernel
+	for n := range k.gc {
+		k.gc[n] = m.cap[n] / dt
+	}
+	k.g4, k.g5, k.g6, k.g8 = 1/site(sOpen4), 1/site(sOpen5), 1/site(sOpen6), 1/site(sOpen8)
+	k.gw = 1 / rw
+	k.gBLVdd, k.gGnd = 1/m.sites[sShortBLVdd], 1/m.sites[sShortCellGnd]
+	k.gBLBL, k.gCells = 1/m.sites[sBridgeBLBL], 1/m.sites[sBridgeCells]
+	k.pBLVdd = float64(k.gBLVdd * t.VDD)
 
 	wlTarget := 0.0
 	if ph.wl0 {
 		wlTarget = t.VPP
 	}
-	addSrc(nWL0Gate, wlTarget, m.sites[sOpen9]+100)
+	g9 := 1 / (m.sites[sOpen9] + 100)
+	k.pWL = float64(g9 * wlTarget)
 
-	addPair(nBTPre, nBTCell, site(sOpen4))
-	addPair(nBTCell, nBTRef, site(sOpen5))
-	addPair(nBTRef, nBTSA, site(sOpen6))
-	addPair(nBTSA, nBTIO, site(sOpen8))
-	addPair(nBCPre, nBCCell, rw)
-	addPair(nBCCell, nBCRef, rw)
-	addPair(nBCRef, nBCSA, rw)
-	addPair(nBCSA, nBCIO, rw)
-
+	var gPreT, gPreC, gRefC, gRefT, gWD, gSA, gDown float64
 	if ph.pre {
-		addSrc(nBTPre, t.VBLEQ, m.P.RPre+m.sites[sOpen3])
-		addSrc(nBCPre, t.VBLEQ, m.P.RPre)
+		gPreT, gPreC = 1/(p.RPre+m.sites[sOpen3]), 1/p.RPre
+		k.pPreT, k.pPreC = float64(gPreT*t.VBLEQ), float64(gPreC*t.VBLEQ)
 	}
 	if ph.dref {
-		addSrc(nRefC, t.VRefCell, m.P.RAccess+m.sites[sOpen2])
-		addSrc(nRefT, t.VRefCell, m.P.RAccess)
+		gRefC, gRefT = 1/(p.RAccess+m.sites[sOpen2]), 1/p.RAccess
+		k.pRefC, k.pRefT = float64(gRefC*t.VRefCell), float64(gRefT*t.VRefCell)
 	}
-
-	p = append(p, term{kind: tVictim})
 	if ph.wl1 {
-		addPair(nBTCell, nCell1, m.P.RAccess)
+		k.gWL1 = 1 / p.RAccess
 	}
 	if ph.dwlc {
-		addPair(nBCRef, nRefC, m.P.RAccess+m.sites[sOpen2])
+		k.gDWLC = 1 / (p.RAccess + m.sites[sOpen2])
 	}
 	if ph.sen {
-		p = append(p, term{kind: tSense})
+		gSA, gDown = 1/p.RSA, 1/(p.RSA+m.sites[sOpen7])
 	}
-
 	if ph.csl {
-		addPair(nBTIO, nIO, m.P.RCSL)
-		addPair(nBCIO, nIOB, m.P.RCSL)
+		k.gCSL = 1 / p.RCSL
 	}
 	if ph.wen {
 		hi, lo := 0.0, t.VDD
 		if ph.wdata == 1 {
 			hi, lo = t.VDD, 0
 		}
-		addSrc(nIO, hi, t.RWriteDriver)
-		addSrc(nIOB, lo, t.RWriteDriver)
+		gWD = 1 / t.RWriteDriver
+		k.pIO, k.pIOB = float64(gWD*hi), float64(gWD*lo)
 	}
 	if ph.ren {
-		addPair(nIO, nOutBuf, t.ROutSwitch)
+		k.gOut = 1 / t.ROutSwitch
 	}
 
-	addSrc(nCell0, 0, m.sites[sShortCellGnd])
-	addSrc(nBTCell, t.VDD, m.sites[sShortBLVdd])
-	addPair(nBTCell, nBCCell, m.sites[sBridgeBLBL])
-	addPair(nCell0, nCell1, m.sites[sBridgeCells])
-
-	m.prog = p
-	for n := 0; n < numNodes; n++ {
-		m.gcDt[n] = m.cap[n] / dt
+	gc := &k.gc
+	k.den = [numNodes]float64{
+		nWL0Gate: gc[nWL0Gate] + g9,
+		nBTPre:   gc[nBTPre] + (k.g4 + gPreT),
+		nBTRef:   gc[nBTRef] + (k.g5 + k.g6),
+		nBTIO:    gc[nBTIO] + (k.g8 + k.gCSL),
+		nBCPre:   gc[nBCPre] + (k.gw + gPreC),
+		nBCCell:  gc[nBCCell] + ((k.gw + k.gw) + k.gBLBL),
+		nBCRef:   gc[nBCRef] + ((k.gw + k.gw) + k.gDWLC),
+		nBCIO:    gc[nBCIO] + (k.gw + k.gCSL),
+		nCell1:   gc[nCell1] + (k.gWL1 + k.gCells),
+		nRefC:    gc[nRefC] + (gRefC + k.gDWLC),
+		nRefT:    gc[nRefT] + gRefT,
+		nIO:      gc[nIO] + ((k.gCSL + gWD) + k.gOut),
+		nIOB:     gc[nIOB] + (k.gCSL + gWD),
+		nOutBuf:  gc[nOutBuf] + k.gOut,
 	}
+	pUp := float64(gSA * t.VDD)
+	g68, gww := k.g6+k.g8, k.gw+k.gw
+	k.sa[0].denT, k.sa[0].pT = gc[nBTSA]+(g68+gSA), pUp
+	k.sa[0].denC = gc[nBCSA] + (gww + gDown)
+	k.sa[1].denT = gc[nBTSA] + (g68 + gDown)
+	k.sa[1].denC, k.sa[1].pC = gc[nBCSA]+(gww+gSA), pUp
+
+	k.von = float64(p.WLOnFraction * t.VPP)
+	k.g45 = k.g4 + k.g5
+	k.rAccess, k.rOpen1 = p.RAccess, m.sites[sOpen1]
+	k.victim(m.v[nWL0Gate])
+	return k
 }
 
-// stepProg executes one Jacobi-implicit step of the compiled program.
-func (m *Model) stepProg(dt float64) {
-	for i := range m.accG {
-		m.accG[i] = 0
-		m.accGV[i] = 0
+// victim sets the victim access device's conductance for word-line gate
+// voltage vwl — in series with the Open 1 site, absent below a 1e-6
+// on-fraction — and the two node denominators it enters.
+func (k *kernel) victim(vwl float64) {
+	frac := numeric.Clamp((vwl-1.0)/(k.von-1.0), 0, 1)
+	gv := 0.0
+	if frac > 1e-6 {
+		gv = 1 / (k.rAccess/frac + k.rOpen1)
 	}
-	for i := range m.prog {
-		tm := &m.prog[i]
-		switch tm.kind {
-		case tPair:
-			g := tm.g
-			a, b := tm.a, tm.b
-			m.accG[a] += g
-			m.accGV[a] += g * m.v[b]
-			m.accG[b] += g
-			m.accGV[b] += g * m.v[a]
-		case tSrc:
-			a := tm.a
-			m.accG[a] += tm.g
-			m.accGV[a] += tm.g * tm.vs
-		case tVictim:
-			if frac := m.wlFraction(); frac > 1e-6 {
-				m.pair(nBTCell, nCell0, m.P.RAccess/frac+m.sites[sOpen1])
-			}
-		case tSense:
-			t := m.P.Tech
-			delta := m.v[nBTSA] - m.v[nBCSA] + m.P.VOffset
-			rDown := m.P.RSA + m.sites[sOpen7]
-			if delta >= 0 {
-				m.src(nBTSA, t.VDD, m.P.RSA)
-				m.src(nBCSA, 0, rDown)
-			} else {
-				m.src(nBCSA, t.VDD, m.P.RSA)
-				m.src(nBTSA, 0, rDown)
-			}
-		}
-	}
-	for n := 0; n < numNodes; n++ {
-		gc := m.gcDt[n]
-		m.v[n] = (gc*m.v[n] + m.accGV[n]) / (gc + m.accG[n])
-	}
-	m.time += dt
-}
-
-// pair accumulates a resistive connection between nodes a and b.
-func (m *Model) pair(a, b int, r float64) {
-	g := 1 / r
-	va, vb := m.v[a], m.v[b]
-	m.accG[a] += g
-	m.accGV[a] += g * vb
-	m.accG[b] += g
-	m.accGV[b] += g * va
-}
-
-// src accumulates a resistive connection from node a to a fixed source.
-func (m *Model) src(a int, vs, r float64) {
-	g := 1 / r
-	m.accG[a] += g
-	m.accGV[a] += g * vs
-}
-
-func (m *Model) step(dt float64, ph phase) {
-	t := m.P.Tech
-	rw := m.P.RWire
-	site := func(i int) float64 {
-		if r := m.sites[i]; r > rw {
-			return r
-		}
-		return rw
-	}
-	for i := range m.accG {
-		m.accG[i] = 0
-		m.accGV[i] = 0
-	}
-
-	// Word-line gate follows its driver through the Open 9 site.
-	wlTarget := 0.0
-	if ph.wl0 {
-		wlTarget = t.VPP
-	}
-	m.src(nWL0Gate, wlTarget, m.sites[sOpen9]+100)
-
-	// Bit-line chains (Open 4, 5, 6, 8 sites on BT).
-	m.pair(nBTPre, nBTCell, site(sOpen4))
-	m.pair(nBTCell, nBTRef, site(sOpen5))
-	m.pair(nBTRef, nBTSA, site(sOpen6))
-	m.pair(nBTSA, nBTIO, site(sOpen8))
-	m.pair(nBCPre, nBCCell, rw)
-	m.pair(nBCCell, nBCRef, rw)
-	m.pair(nBCRef, nBCSA, rw)
-	m.pair(nBCSA, nBCIO, rw)
-
-	if ph.pre {
-		m.src(nBTPre, t.VBLEQ, m.P.RPre+m.sites[sOpen3])
-		m.src(nBCPre, t.VBLEQ, m.P.RPre)
-	}
-	if ph.dref {
-		m.src(nRefC, t.VRefCell, m.P.RAccess+m.sites[sOpen2])
-		m.src(nRefT, t.VRefCell, m.P.RAccess)
-	}
-
-	// Victim access device: conductance scales with the (possibly
-	// floating) gate voltage; in series with the Open 1 site.
-	if frac := m.wlFraction(); frac > 1e-6 {
-		m.pair(nBTCell, nCell0, m.P.RAccess/frac+m.sites[sOpen1])
-	}
-	if ph.wl1 {
-		m.pair(nBTCell, nCell1, m.P.RAccess)
-	}
-	if ph.dwlc {
-		m.pair(nBCRef, nRefC, m.P.RAccess+m.sites[sOpen2])
-	}
-
-	if ph.sen {
-		// Rule-based regenerative sense amplifier with the Open 7 site
-		// in the pull-down (NMOS) path. The input-referred offset makes
-		// zero differential resolve to 1.
-		delta := m.v[nBTSA] - m.v[nBCSA] + m.P.VOffset
-		rDown := m.P.RSA + m.sites[sOpen7]
-		if delta >= 0 {
-			m.src(nBTSA, t.VDD, m.P.RSA)
-			m.src(nBCSA, 0, rDown)
-		} else {
-			m.src(nBCSA, t.VDD, m.P.RSA)
-			m.src(nBTSA, 0, rDown)
-		}
-	}
-
-	if ph.csl {
-		m.pair(nBTIO, nIO, m.P.RCSL)
-		m.pair(nBCIO, nIOB, m.P.RCSL)
-	}
-	if ph.wen {
-		hi, lo := 0.0, t.VDD
-		if ph.wdata == 1 {
-			hi, lo = t.VDD, 0
-		}
-		m.src(nIO, hi, t.RWriteDriver)
-		m.src(nIOB, lo, t.RWriteDriver)
-	}
-	if ph.ren {
-		m.pair(nIO, nOutBuf, t.ROutSwitch)
-	}
-
-	// Short/bridge sites (negligible conductance when healthy).
-	m.src(nCell0, 0, m.sites[sShortCellGnd])
-	m.src(nBTCell, t.VDD, m.sites[sShortBLVdd])
-	m.pair(nBTCell, nBCCell, m.sites[sBridgeBLBL])
-	m.pair(nCell0, nCell1, m.sites[sBridgeCells])
-
-	// Jacobi-implicit nodal update.
-	for n := 0; n < numNodes; n++ {
-		gc := m.cap[n] / dt
-		m.v[n] = (gc*m.v[n] + m.accGV[n]) / (gc + m.accG[n])
-	}
-	m.time += dt
-}
-
-// wlFraction maps the victim's gate voltage to an access-conductance
-// fraction in [0,1].
-func (m *Model) wlFraction() float64 {
-	t := m.P.Tech
-	von := m.P.WLOnFraction * t.VPP
-	return numeric.Clamp((m.v[nWL0Gate]-1.0)/(von-1.0), 0, 1)
+	k.gv = gv
+	k.den[nBTCell] = k.gc[nBTCell] + ((((k.g45 + gv) + k.gWL1) + k.gBLVdd) + k.gBLBL)
+	k.den[nCell0] = k.gc[nCell0] + ((gv + k.gGnd) + k.gCells)
+	k.wlBits = math.Float64bits(vwl)
 }
 
 // Precharge runs one precharge/equalize phase.

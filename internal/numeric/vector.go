@@ -55,7 +55,9 @@ func Linspace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
-		out[i] = lo + float64(i)*step
+		// Rounding the product on its own stops arm64 from fusing it
+		// into a multiply-add, so every target yields the same grid.
+		out[i] = lo + float64(float64(i)*step)
 	}
 	out[n-1] = hi
 	return out
