@@ -471,12 +471,15 @@ func BenchmarkTechnologySensitivity(b *testing.B) {
 }
 
 // BenchmarkSpiceOperation measures one electrical write+read pair on the
-// healthy column — the substrate's unit cost.
+// healthy column — the substrate's unit cost. It also reports where the
+// LU work went: factorizations, Newton bypasses (factors reused) and
+// factorizations that fell back to the dense kernel, each per pair.
 func BenchmarkSpiceOperation(b *testing.B) {
 	col := dram.MustNewColumn(dram.Default())
 	if err := col.PowerUp(); err != nil {
 		b.Fatal(err)
 	}
+	f0, by0, d0 := col.Engine().FactorizationCounts()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -491,6 +494,12 @@ func BenchmarkSpiceOperation(b *testing.B) {
 			b.Fatalf("read %d, want %d", got, i%2)
 		}
 	}
+	b.StopTimer()
+	f1, by1, d1 := col.Engine().FactorizationCounts()
+	n := float64(b.N)
+	b.ReportMetric(float64(f1-f0)/n, "factorizations/op")
+	b.ReportMetric(float64(by1-by0)/n, "bypasses/op")
+	b.ReportMetric(float64(d1-d0)/n, "dense-fallbacks/op")
 }
 
 // BenchmarkBehavOperation measures the same pair on the analytical model.

@@ -125,10 +125,12 @@ func (ctx *StampContext) addA(r, c int, v float64) {
 		return // the row's equation was eliminated
 	}
 	if rc := ctx.RowMap[c]; rc >= 0 {
-		ctx.A.Add(rr, rc, v)
+		// Straight into the storage: both indices come from RowMap, so
+		// Matrix.Add's per-entry range check would only repeat it.
+		ctx.A.Data()[rr*ctx.A.Cols()+rc] += v
 	} else {
 		// Coupling to a known voltage: A[r][c]·x[c] moves to the RHS.
-		ctx.B[rr] -= v * ctx.PinnedX[c]
+		ctx.B[rr] -= float64(v * ctx.PinnedX[c])
 	}
 }
 
@@ -174,15 +176,22 @@ func (ctx *StampContext) StampCurrent(a, b int, i float64) {
 // voltage between (in+, in−) with gain gm: a VCCS stamp used by the
 // linearized MOSFET model.
 func (ctx *StampContext) StampTransconductance(outP, outN, inP, inN int, gm float64) {
-	add := func(r, c int, v float64) {
-		if r != 0 && c != 0 {
-			ctx.addA(r-1, c-1, v)
+	if outP != 0 {
+		if inP != 0 {
+			ctx.addA(outP-1, inP-1, gm)
+		}
+		if inN != 0 {
+			ctx.addA(outP-1, inN-1, -gm)
 		}
 	}
-	add(outP, inP, gm)
-	add(outP, inN, -gm)
-	add(outN, inP, -gm)
-	add(outN, inN, gm)
+	if outN != 0 {
+		if inP != 0 {
+			ctx.addA(outN-1, inP-1, -gm)
+		}
+		if inN != 0 {
+			ctx.addA(outN-1, inN-1, gm)
+		}
+	}
 }
 
 // Circuit is a mutable netlist.

@@ -72,12 +72,16 @@ func level1(beta, vt, lambda, vgs, vds float64) (id, gm, gds float64) {
 	if vov <= 0 {
 		return 0, 0, 0 // cutoff
 	}
-	clm := 1 + lambda*vds
+	// Each product that meets an addition is rounded on its own, so that
+	// arm64 cannot fuse it into a multiply-add and every target computes
+	// the same bits.
+	clm := 1 + float64(lambda*vds)
 	if vds < vov {
 		// Triode region.
-		id = beta * (vov*vds - vds*vds/2) * clm
+		q := float64(vov*vds) - float64(vds*vds/2)
+		id = beta * q * clm
 		gm = beta * vds * clm
-		gds = beta*(vov-vds)*clm + beta*(vov*vds-vds*vds/2)*lambda
+		gds = float64(beta*(vov-vds)*clm) + float64(beta*q*lambda)
 		return id, gm, gds
 	}
 	// Saturation.
@@ -87,18 +91,19 @@ func level1(beta, vt, lambda, vgs, vds float64) (id, gm, gds float64) {
 	return id, gm, gds
 }
 
-// operatingPoint computes the device current in NMOS-normalized (primed)
-// coordinates. It returns the primed drain current and derivatives, the
-// real-space effective drain/source nodes (after symmetry swap), and the
-// polarity sign (−1 for PMOS).
-func (m *MOSFET) operatingPoint(v func(int) float64) (id, gm, gds float64, dEff, sEff int, sign float64) {
+// bias evaluates the device at the real-space terminal voltages vD, vG,
+// vS. It returns the primed (NMOS-normalized) drain current and
+// derivatives, the primed controlling voltages vgs and vds they were
+// evaluated at, the real-space effective drain/source nodes (after the
+// symmetry swap), and the polarity sign (−1 for PMOS).
+func (m *MOSFET) bias(vD, vG, vS float64) (id, gm, gds, vgs, vds float64, dEff, sEff int, sign float64) {
 	sign = 1.0
 	if m.pmos {
 		sign = -1
 	}
-	vd := sign * v(m.d)
-	vg := sign * v(m.g)
-	vs := sign * v(m.s)
+	vd := float64(sign * vD)
+	vg := float64(sign * vG)
+	vs := float64(sign * vS)
 	vt := m.p.Vt0
 	if m.pmos {
 		vt = -m.p.Vt0 // magnitude in primed (NMOS) polarity
@@ -109,8 +114,9 @@ func (m *MOSFET) operatingPoint(v func(int) float64) (id, gm, gds float64, dEff,
 		vd, vs = vs, vd
 		dEff, sEff = m.s, m.d
 	}
-	id, gm, gds = level1(m.p.Beta(), vt, m.p.Lambda, vg-vs, vd-vs)
-	return id, gm, gds, dEff, sEff, sign
+	vgs, vds = vg-vs, vd-vs
+	id, gm, gds = level1(m.p.Beta(), vt, m.p.Lambda, vgs, vds)
+	return id, gm, gds, vgs, vds, dEff, sEff, sign
 }
 
 // Stamp implements circuit.Element.
@@ -122,20 +128,16 @@ func (m *MOSFET) operatingPoint(v func(int) float64) (id, gm, gds float64, dEff,
 // factors cancel), so the conductance and VCCS are stamped unsigned and
 // only the companion constant carries the polarity.
 func (m *MOSFET) Stamp(ctx *circuit.StampContext) {
-	id, gm, gds, d, s, sign := m.operatingPoint(ctx.V)
-	// Primed-space controlling voltages at the iterate.
-	vgsP := sign*ctx.V(m.g) - sign*ctx.V(s)
-	vdsP := sign*ctx.V(d) - sign*ctx.V(s)
-
+	id, gm, gds, vgs, vds, d, s, sign := m.bias(ctx.V(m.d), ctx.V(m.g), ctx.V(m.s))
 	ctx.StampConductance(d, s, gds)
 	ctx.StampTransconductance(d, s, m.g, s, gm)
-	ieq := sign * (id - gm*vgsP - gds*vdsP)
+	ieq := sign * (id - float64(gm*vgs) - float64(gds*vds))
 	ctx.StampCurrent(d, s, ieq)
 }
 
 // DrainCurrent returns the real-space current flowing from the effective
 // drain to the effective source for a solved voltage accessor.
 func (m *MOSFET) DrainCurrent(v func(int) float64) float64 {
-	id, _, _, _, _, sign := m.operatingPoint(v)
+	id, _, _, _, _, _, _, sign := m.bias(v(m.d), v(m.g), v(m.s))
 	return sign * id
 }

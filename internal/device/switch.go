@@ -39,7 +39,10 @@ func (s *Switch) Name() string { return s.name }
 // voltage.
 func (s *Switch) conductance(vc float64) float64 {
 	gon, goff := 1/s.ron, 1/s.roff
-	lo, hi := s.threshold-s.band/2, s.threshold+s.band/2
+	// Rounding the half band (a product once the compiler turns /2 into
+	// ·0.5) and the interpolation product keeps arm64 from fusing them
+	// into multiply-adds, so every target computes the same bits.
+	lo, hi := s.threshold-float64(s.band/2), s.threshold+float64(s.band/2)
 	switch {
 	case vc <= lo:
 		return goff
@@ -47,7 +50,7 @@ func (s *Switch) conductance(vc float64) float64 {
 		return gon
 	default:
 		t := (vc - lo) / s.band
-		return goff + t*(gon-goff)
+		return goff + float64(t*(gon-goff))
 	}
 }
 

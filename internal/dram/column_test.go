@@ -225,3 +225,21 @@ func TestWritePanicsOnBadData(t *testing.T) {
 	}()
 	_ = c.Write(0, 2)
 }
+
+// TestEngineStepDoesNotAllocate holds the transient engine's Newton step
+// allocation-free on the powered-up column: stamping, the static fold,
+// factorization and the solves all reuse the engine's buffers.
+func TestEngineStepDoesNotAllocate(t *testing.T) {
+	c := newTestColumn(t)
+	eng := c.Engine()
+	if err := eng.Step(c.Tech.DT); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := eng.Step(c.Tech.DT); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Engine.Step allocates %v times per call, want 0", n)
+	}
+}

@@ -55,7 +55,7 @@ func Factorize(a *Matrix) (*LU, error) {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.Add(i, j, -m*lu.At(k, j))
+				lu.Add(i, j, float64(-m*lu.At(k, j)))
 			}
 		}
 	}
@@ -88,13 +88,13 @@ func (f *LU) Solve(b []float64) []float64 {
 	// Forward substitution, L has an implicit unit diagonal.
 	for i := 1; i < f.n; i++ {
 		for j := 0; j < i; j++ {
-			x[i] -= f.lu.At(i, j) * x[j]
+			x[i] -= float64(f.lu.At(i, j) * x[j])
 		}
 	}
 	// Back substitution.
 	for i := f.n - 1; i >= 0; i-- {
 		for j := i + 1; j < f.n; j++ {
-			x[i] -= f.lu.At(i, j) * x[j]
+			x[i] -= float64(f.lu.At(i, j) * x[j])
 		}
 		x[i] /= f.lu.At(i, i)
 	}
@@ -108,55 +108,4 @@ func SolveSystem(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// GaussSolve solves a·x = b by plain Gaussian elimination with partial
-// pivoting, destroying neither input. It exists as the baseline for the
-// solver ablation benchmark; LU factorization wins once a system is
-// solved for more than one right-hand side (as Newton iteration does
-// when the Jacobian is reused).
-func GaussSolve(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows() != a.Cols() || len(b) != a.Rows() {
-		panic("numeric: GaussSolve dimension mismatch")
-	}
-	n := a.Rows()
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	for k := 0; k < n; k++ {
-		p, max := k, math.Abs(m.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(m.At(i, k)); v > max {
-				p, max = i, v
-			}
-		}
-		if max == 0 || math.IsNaN(max) {
-			return nil, ErrSingular
-		}
-		if p != k {
-			for c := 0; c < n; c++ {
-				vp, vk := m.At(p, c), m.At(k, c)
-				m.Set(p, c, vk)
-				m.Set(k, c, vp)
-			}
-			x[p], x[k] = x[k], x[p]
-		}
-		for i := k + 1; i < n; i++ {
-			f := m.At(i, k) / m.At(k, k)
-			if f == 0 {
-				continue
-			}
-			for j := k; j < n; j++ {
-				m.Add(i, j, -f*m.At(k, j))
-			}
-			x[i] -= f * x[k]
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		for j := i + 1; j < n; j++ {
-			x[i] -= m.At(i, j) * x[j]
-		}
-		x[i] /= m.At(i, i)
-	}
-	return x, nil
 }

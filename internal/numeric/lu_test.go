@@ -147,32 +147,3 @@ func TestSolveRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestGaussMatchesLUProperty: the two solvers agree on random systems.
-func TestGaussMatchesLUProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		a := randomDiagDominant(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.Float64()*10 - 5
-		}
-		x1, err1 := SolveSystem(a, b)
-		x2, err2 := GaussSolve(a, b)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return MaxAbsDiff(x1, x2) < 1e-8
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGaussSolveSingular(t *testing.T) {
-	a := NewMatrix(2, 2) // all zeros
-	if _, err := GaussSolve(a, []float64{1, 1}); err != ErrSingular {
-		t.Errorf("GaussSolve(singular) err = %v, want ErrSingular", err)
-	}
-}

@@ -69,7 +69,9 @@ func Logspace(lo, hi float64, n int) []float64 {
 	if lo <= 0 || hi <= 0 {
 		panic("numeric: Logspace bounds must be positive")
 	}
-	ex := Linspace(math.Log10(lo), math.Log10(hi), n)
+	// math.Log10 ends in a product; rounding it here keeps arm64 from
+	// fusing that product into Linspace's arithmetic once both inline.
+	ex := Linspace(float64(math.Log10(lo)), float64(math.Log10(hi)), n)
 	for i, e := range ex {
 		ex[i] = math.Pow(10, e)
 	}
