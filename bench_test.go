@@ -362,7 +362,9 @@ func BenchmarkShortsBridgesNoPartialFaults(b *testing.B) {
 
 // BenchmarkBehavVsSpiceFidelity measures the cost of one full read
 // operation in both engines and checks they agree on a defective probe
-// point — the fidelity/speed trade the analytical model buys.
+// point — the fidelity/speed trade the analytical model buys. The spice
+// side runs on the pooled factory every production sweep uses, so an
+// iteration recycles one column instead of building a netlist.
 func BenchmarkBehavVsSpiceFidelity(b *testing.B) {
 	o, _ := defect.ByID(4)
 	grp, _ := o.Float(defect.FloatBitLine)
@@ -382,7 +384,7 @@ func BenchmarkBehavVsSpiceFidelity(b *testing.B) {
 		}
 	})
 	b.Run("spice", func(b *testing.B) {
-		f := analysis.NewSpiceFactory(dram.Default())
+		f := analysis.NewPooledSpiceFactory(dram.Default())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -471,15 +473,15 @@ func BenchmarkTechnologySensitivity(b *testing.B) {
 }
 
 // BenchmarkSpiceOperation measures one electrical write+read pair on the
-// healthy column — the substrate's unit cost. It also reports where the
-// LU work went: factorizations, Newton bypasses (factors reused) and
-// factorizations that fell back to the dense kernel, each per pair.
+// healthy column — the substrate's unit cost. It also reports the LU
+// work: factorizations, and those that fell back to the dense kernel,
+// each per pair.
 func BenchmarkSpiceOperation(b *testing.B) {
 	col := dram.MustNewColumn(dram.Default())
 	if err := col.PowerUp(); err != nil {
 		b.Fatal(err)
 	}
-	f0, by0, d0 := col.Engine().FactorizationCounts()
+	f0, d0 := col.Engine().FactorizationCounts()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -495,10 +497,9 @@ func BenchmarkSpiceOperation(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	f1, by1, d1 := col.Engine().FactorizationCounts()
+	f1, d1 := col.Engine().FactorizationCounts()
 	n := float64(b.N)
 	b.ReportMetric(float64(f1-f0)/n, "factorizations/op")
-	b.ReportMetric(float64(by1-by0)/n, "bypasses/op")
 	b.ReportMetric(float64(d1-d0)/n, "dense-fallbacks/op")
 }
 

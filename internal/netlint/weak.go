@@ -364,13 +364,13 @@ func (a *Analyzer) sideEquivalent(fg *firmGraph, node int) ([]string, float64, f
 				if math.IsNaN(av) {
 					voltKnown = false
 				} else {
-					bv[i] += fe.g * av
+					bv[i] += float64(fe.g * av)
 				}
 			}
 		}
 	}
-	lu, err := numeric.Factorize(L)
-	if err != nil {
+	ws := numeric.NewWorkspace(nUnknown)
+	if err := ws.Factorize(L); err != nil {
 		// A singular firm stamp cannot happen for a connected component
 		// with at least one Dirichlet node; report "no usable drive"
 		// rather than guessing.
@@ -379,13 +379,15 @@ func (a *Analyzer) sideEquivalent(fg *firmGraph, node int) ([]string, float64, f
 	self := unknownIdx[node]
 	voc := math.NaN()
 	if voltKnown {
-		voc = lu.Solve(bv)[self]
+		ws.Solve(bv, bv)
+		voc = bv[self]
 	}
 	// Thevenin resistance: inject a unit current at the endpoint with
 	// all anchors grounded; the resulting self-voltage is R_th.
 	bi := make([]float64, nUnknown)
 	bi[self] = 1
-	rth := lu.Solve(bi)[self]
+	ws.Solve(bi, bi)
+	rth := bi[self]
 	if !(rth > 0) {
 		return anchorIDs, 0, voc
 	}
@@ -416,10 +418,10 @@ func dividerVerdict(gA, vA, gB, vB, g, weakRatio float64, sameAnchors bool) (Cla
 	throughB := series(g, gA)
 	loadedA, loadedB := vA, vB
 	if !math.IsInf(gA, 1) {
-		loadedA = (gA*vA + throughA*vB) / (gA + throughA)
+		loadedA = (float64(gA*vA) + float64(throughA*vB)) / (gA + throughA)
 	}
 	if !math.IsInf(gB, 1) {
-		loadedB = (gB*vB + throughB*vA) / (gB + throughB)
+		loadedB = (float64(gB*vB) + float64(throughB*vA)) / (gB + throughB)
 	}
 	if sameAnchors || (!math.IsNaN(vA) && !math.IsNaN(vB) && math.Abs(vA-vB) <= 1e-9) {
 		// Both sides pull toward the same place: no fight to resolve.

@@ -7,6 +7,20 @@ import (
 	"testing/quick"
 )
 
+// The LU's basic properties, on Workspace: the package's one
+// factorization.
+
+// solveSystem factorizes a on a fresh workspace and solves a·x = b.
+func solveSystem(a *Matrix, b []float64) ([]float64, error) {
+	ws := NewWorkspace(a.Rows())
+	if err := ws.Factorize(a); err != nil {
+		return nil, err
+	}
+	x := make([]float64, len(b))
+	ws.Solve(b, x)
+	return x, nil
+}
+
 func TestFactorizeSolveIdentity(t *testing.T) {
 	n := 4
 	a := NewMatrix(n, n)
@@ -14,9 +28,9 @@ func TestFactorizeSolveIdentity(t *testing.T) {
 		a.Set(i, i, 1)
 	}
 	b := []float64{1, -2, 3.5, 0}
-	x, err := SolveSystem(a, b)
+	x, err := solveSystem(a, b)
 	if err != nil {
-		t.Fatalf("SolveSystem: %v", err)
+		t.Fatalf("solveSystem: %v", err)
 	}
 	for i := range b {
 		if x[i] != b[i] {
@@ -32,9 +46,9 @@ func TestFactorizeSolveKnownSystem(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 3)
-	x, err := SolveSystem(a, []float64{5, 10})
+	x, err := solveSystem(a, []float64{5, 10})
 	if err != nil {
-		t.Fatalf("SolveSystem: %v", err)
+		t.Fatalf("solveSystem: %v", err)
 	}
 	if !ApproxEqual(x[0], 1, 1e-12) || !ApproxEqual(x[1], 3, 1e-12) {
 		t.Errorf("got x = %v, want [1 3]", x)
@@ -48,9 +62,9 @@ func TestFactorizeRequiresPivoting(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 1)
 	a.Set(1, 1, 0)
-	x, err := SolveSystem(a, []float64{2, 3})
+	x, err := solveSystem(a, []float64{2, 3})
 	if err != nil {
-		t.Fatalf("SolveSystem: %v", err)
+		t.Fatalf("solveSystem: %v", err)
 	}
 	if !ApproxEqual(x[0], 3, 1e-12) || !ApproxEqual(x[1], 2, 1e-12) {
 		t.Errorf("got x = %v, want [3 2]", x)
@@ -63,7 +77,7 @@ func TestFactorizeSingular(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4)
-	if _, err := Factorize(a); err != ErrSingular {
+	if err := NewWorkspace(2).Factorize(a); err != ErrSingular {
 		t.Errorf("Factorize(singular) err = %v, want ErrSingular", err)
 	}
 }
@@ -75,7 +89,7 @@ func TestFactorizeDoesNotModifyInput(t *testing.T) {
 	a.Set(1, 0, 6)
 	a.Set(1, 1, 3)
 	orig := a.Clone()
-	if _, err := Factorize(a); err != nil {
+	if err := NewWorkspace(2).Factorize(a); err != nil {
 		t.Fatalf("Factorize: %v", err)
 	}
 	for i := 0; i < 2; i++ {
@@ -89,8 +103,8 @@ func TestFactorizeDoesNotModifyInput(t *testing.T) {
 
 func TestLUReuseMultipleRHS(t *testing.T) {
 	a := randomDiagDominant(rand.New(rand.NewSource(7)), 5)
-	f, err := Factorize(a)
-	if err != nil {
+	ws := NewWorkspace(5)
+	if err := ws.Factorize(a); err != nil {
 		t.Fatalf("Factorize: %v", err)
 	}
 	for trial := 0; trial < 4; trial++ {
@@ -98,7 +112,8 @@ func TestLUReuseMultipleRHS(t *testing.T) {
 		for i := range b {
 			b[i] = float64(trial*5 + i)
 		}
-		x := f.Solve(b)
+		x := make([]float64, 5)
+		ws.Solve(b, x)
 		back := a.MulVec(x)
 		if MaxAbsDiff(back, b) > 1e-9 {
 			t.Errorf("trial %d: A·x differs from b by %g", trial, MaxAbsDiff(back, b))
@@ -137,7 +152,7 @@ func TestSolveRoundTripProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float64()*20 - 10
 		}
-		x, err := SolveSystem(a, b)
+		x, err := solveSystem(a, b)
 		if err != nil {
 			return false
 		}

@@ -1,14 +1,16 @@
 // Package numeric provides the small linear-algebra kernel used by the
 // circuit simulator: dense matrices, LU factorization with partial
-// pivoting, and vector helpers.
+// pivoting (Workspace), and vector helpers.
 //
 // The modified-nodal-analysis (MNA) systems produced by the DRAM column
 // netlists in this repository are small (tens of unknowns), so matrices
 // stay in dense storage. They are sparse all the same: the column's
-// reduced 25×25 Jacobian has 81 structural nonzeros. The Newton loop's
-// Workspace therefore learns the fill pattern of the matrices it sees and
-// eliminates over that pattern only, bit-identical to the dense kernel,
-// which it keeps as its fallback for pivoting and non-finite cases.
+// reduced 25×25 Jacobian has 81 structural nonzeros. Workspace therefore
+// learns the fill pattern of the matrices it sees and eliminates over
+// that pattern only, bit-identical to the dense kernel, which it keeps as
+// its fallback for pivoting and non-finite cases. It is the one LU in the
+// repository: the transient engine's Newton loop and netlint's
+// weak-merge Thevenin solve both factorize with it.
 package numeric
 
 import "fmt"

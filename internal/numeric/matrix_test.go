@@ -69,7 +69,7 @@ func TestMatrixPanics(t *testing.T) {
 		{"negative index", func() { NewMatrix(2, 2).Set(-1, 0, 1) }},
 		{"mulvec mismatch", func() { NewMatrix(2, 2).MulVec([]float64{1}) }},
 		{"copyfrom mismatch", func() { NewMatrix(2, 2).CopyFrom(NewMatrix(3, 3)) }},
-		{"factorize non-square", func() { Factorize(NewMatrix(2, 3)) }}, //nolint:errcheck
+		{"factorize non-square", func() { NewWorkspace(2).Factorize(NewMatrix(2, 3)) }}, //nolint:errcheck
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

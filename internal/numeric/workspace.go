@@ -1,11 +1,22 @@
 package numeric
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
-// Workspace is a reusable LU solve buffer for repeated factorizations of
-// same-sized systems, as a Newton loop performs every iteration. It
-// allocates nothing after construction, except when a matrix widens the
-// learned pattern below.
+// ErrSingular is returned when a matrix is numerically singular and cannot
+// be factorized. For MNA systems this usually indicates a floating node
+// with no DC path to ground; the circuit layer guards against that with
+// gmin conductances, so seeing this error normally means a malformed
+// netlist.
+var ErrSingular = errors.New("numeric: matrix is singular")
+
+// Workspace is the package's LU factorization with partial pivoting: a
+// reusable buffer for repeated factorizations of same-sized systems, as a
+// Newton loop performs every iteration. It allocates nothing after
+// construction, except when a matrix widens the learned pattern below.
+// The factors of one matrix solve any number of right-hand sides.
 //
 // The workspace learns the structure of the matrices it sees. It keeps
 // the fill pattern of elimination in the diagonal pivot order: the union
@@ -50,10 +61,8 @@ type Workspace struct {
 	// all ones outside, so OR-ing Float64bits(a)&mask over a matrix is
 	// zero exactly when every entry outside the pattern is +0.
 	mask []uint64
-	// pat lists the flat indices of the pattern entries in row-major
-	// order. saved is a copy of the last factorized matrix (one memmove
-	// is cheaper than gathering the pattern entries).
-	pat   []int
+	// saved is a copy of the last factorized matrix, kept for a dense
+	// rerun.
 	saved []float64
 	// The pattern's strictly lower part by rows (forward substitution)
 	// and by columns (the rows each pivot eliminates), and its strictly
@@ -64,10 +73,6 @@ type Workspace struct {
 	// sparse reports that lu holds pattern-kernel factors (no row
 	// swaps); otherwise it holds dense factors with pivots pivx.
 	sparse bool
-	// havePrev enables FactorizeCached's Newton bypass: saved is the
-	// matrix whose factors are in lu, so when the next matrix is bit for
-	// bit identical no elimination runs.
-	havePrev bool
 	// fallbacks counts dense-kernel reruns for benchmarks.
 	fallbacks uint64
 }
@@ -111,58 +116,36 @@ func NewWorkspace(n int) *Workspace {
 }
 
 // Factorize copies the square matrix a into the workspace and LU-factorizes
-// it in place with partial pivoting.
+// it with partial pivoting. The input matrix is not modified. It panics
+// if a is not n×n.
 func (w *Workspace) Factorize(a *Matrix) error {
-	w.checkDims(a)
+	if a.Rows() != w.n || a.Cols() != w.n {
+		panic("numeric: workspace dimension mismatch")
+	}
 	w.learn(a)
-	w.havePrev = false
-	return w.factor(a)
-}
-
-// FactorizeCached is Factorize with a Newton-bypass: when a is bit-for-bit
-// identical to the last matrix this workspace factorized, the existing
-// factors are reused and no elimination runs. The comparison reads only
-// the pattern entries, because the pattern check has already proved every
-// other entry +0 in both matrices. It reports whether the cached factors
-// were reused.
-func (w *Workspace) FactorizeCached(a *Matrix) (reused bool, err error) {
-	w.checkDims(a)
-	if w.learn(a) {
-		w.havePrev = false
+	copy(w.saved, a.data)
+	copy(w.lu, a.data)
+	if w.eliminatePattern() {
+		w.sparse = true
+		return nil
 	}
-	if w.havePrev && w.sameAsSaved(a) {
-		return true, nil
-	}
-	err = w.factor(a)
-	w.havePrev = err == nil
-	return false, err
+	return w.factorizeSavedDense()
 }
-
-// InvalidateCache drops the memory of the last factorized matrix, forcing
-// the next FactorizeCached to run a full elimination.
-func (w *Workspace) InvalidateCache() { w.havePrev = false }
 
 // DenseFallbacks returns how many factorizations ran on the dense kernel
 // because the pattern kernel's conditions did not hold.
 func (w *Workspace) DenseFallbacks() uint64 { return w.fallbacks }
 
-func (w *Workspace) checkDims(a *Matrix) {
-	if a.Rows() != w.n || a.Cols() != w.n {
-		panic("numeric: workspace dimension mismatch")
-	}
-}
-
-// learn widens the pattern when a has a nonzero entry outside it and
-// reports whether it did. Any entry whose bits are not those of +0 counts
-// as nonzero, −0 included.
-func (w *Workspace) learn(a *Matrix) bool {
+// learn widens the pattern when a has a nonzero entry outside it. Any
+// entry whose bits are not those of +0 counts as nonzero, −0 included.
+func (w *Workspace) learn(a *Matrix) {
 	mask := w.mask[:len(a.data)]
 	var out uint64
 	for i, v := range a.data {
 		out |= math.Float64bits(v) & mask[i]
 	}
 	if out == 0 {
-		return false
+		return
 	}
 	for i, v := range a.data {
 		if math.Float64bits(v) != 0 {
@@ -170,7 +153,6 @@ func (w *Workspace) learn(a *Matrix) bool {
 		}
 	}
 	w.buildPattern()
-	return true
 }
 
 // buildPattern closes the mask under fill-in (eliminating pivot k joins
@@ -190,7 +172,6 @@ func (w *Workspace) buildPattern() {
 			}
 		}
 	}
-	w.pat = w.pat[:0]
 	w.lowerRows.reset()
 	w.upperRows.reset()
 	for i := 0; i < n; i++ {
@@ -198,7 +179,6 @@ func (w *Workspace) buildPattern() {
 			if mask[i*n+j] != 0 {
 				continue
 			}
-			w.pat = append(w.pat, i*n+j)
 			switch {
 			case j < i:
 				w.lowerRows.idx = append(w.lowerRows.idx, j)
@@ -218,30 +198,6 @@ func (w *Workspace) buildPattern() {
 		}
 		w.lowerCols.end()
 	}
-}
-
-// sameAsSaved reports whether a's pattern entries equal the saved ones
-// bit for bit: a NaN entry or a −0/+0 flip must force refactorization.
-func (w *Workspace) sameAsSaved(a *Matrix) bool {
-	data, saved := a.data, w.saved[:len(a.data)]
-	for _, p := range w.pat {
-		if math.Float64bits(data[p]) != math.Float64bits(saved[p]) {
-			return false
-		}
-	}
-	return true
-}
-
-// factor saves a and factorizes it on the pattern kernel, or on the
-// dense kernel when a pivot fails.
-func (w *Workspace) factor(a *Matrix) error {
-	copy(w.saved, a.data)
-	copy(w.lu, a.data)
-	if w.eliminatePattern() {
-		w.sparse = true
-		return nil
-	}
-	return w.factorizeSavedDense()
 }
 
 // eliminatePattern runs the elimination over the pattern lists, in place

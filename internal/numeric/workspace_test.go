@@ -4,34 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestWorkspaceMatchesFactorize(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(10)
-		a := randomDiagDominant(rng, n)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.Float64()*10 - 5
-		}
-		want, err := SolveSystem(a, b)
-		if err != nil {
-			return false
-		}
-		ws := NewWorkspace(n)
-		if err := ws.Factorize(a); err != nil {
-			return false
-		}
-		got := make([]float64, n)
-		ws.Solve(b, got)
-		return MaxAbsDiff(got, want) < 1e-10
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -83,18 +56,6 @@ func BenchmarkWorkspaceFactorize50(b *testing.B) {
 	}
 }
 
-func BenchmarkFactorizeAlloc50(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randomDiagDominant(rng, 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Factorize(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // denseOracle factorizes a on the dense kernel of a fresh workspace: the
 // reference every pattern-kernel result must match bit for bit.
 func denseOracle(a *Matrix) (*Workspace, error) {
@@ -108,7 +69,7 @@ func denseOracle(a *Matrix) (*Workspace, error) {
 // alias solves in place (x and b the same slice).
 func checkMatchesDense(t *testing.T, ws *Workspace, a *Matrix, bs [][]float64, alias bool) {
 	t.Helper()
-	_, err := ws.FactorizeCached(a)
+	err := ws.Factorize(a)
 	oracle, want := denseOracle(a)
 	if err != want {
 		t.Fatalf("factorize err = %v, dense kernel %v\n%s", err, want, a)
@@ -146,7 +107,7 @@ func matrixOf(rows ...[]float64) *Matrix {
 
 // TestWorkspaceMatchesDense holds the pattern kernel to the dense kernel
 // on inputs built to hit each of its fallback conditions, plus pattern
-// growth and the Newton bypass on a shared workspace.
+// growth and a repeated matrix on a shared workspace.
 func TestWorkspaceMatchesDense(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
@@ -235,7 +196,7 @@ func TestWorkspaceMatchesDense(t *testing.T) {
 				[]float64{-0.25, 1, 4},
 			),
 		}, bs: b3[:2], sparse: true},
-		{name: "bypass right after growth", seq: []*Matrix{
+		{name: "repeat after growth", seq: []*Matrix{
 			tridiag,
 			matrixOf(
 				[]float64{4, 0, 0},
@@ -272,33 +233,6 @@ func TestWorkspaceMatchesDense(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWorkspaceBypassAfterGrowth checks the Newton bypass on the pattern
-// kernel: an identical matrix reuses the factors, a matrix that differs
-// only outside the old pattern does not.
-func TestWorkspaceBypassAfterGrowth(t *testing.T) {
-	a := matrixOf(
-		[]float64{4, 1, 0},
-		[]float64{1, 4, 1},
-		[]float64{0, 1, 4},
-	)
-	ws := NewWorkspace(3)
-	for i, want := range []bool{false, true} {
-		if reused, err := ws.FactorizeCached(a); err != nil || reused != want {
-			t.Fatalf("call %d: reused=%v err=%v, want reused=%v", i, reused, err, want)
-		}
-	}
-	grown := a.Clone()
-	grown.Set(0, 2, 1e-3)
-	for i, want := range []bool{false, true} {
-		if reused, err := ws.FactorizeCached(grown); err != nil || reused != want {
-			t.Fatalf("grown call %d: reused=%v err=%v, want reused=%v", i, reused, err, want)
-		}
-	}
-	if reused, _ := ws.FactorizeCached(a); reused {
-		t.Fatal("the original matrix reused the grown matrix's factors")
 	}
 }
 
@@ -348,8 +282,7 @@ func FuzzWorkspaceMatchesDense(f *testing.F) {
 		var a *Matrix
 		for m := 0; m < mats; m++ {
 			if a == nil || in.next()%4 != 0 {
-				// A fresh matrix; otherwise the previous one repeats and
-				// exercises the bypass.
+				// A fresh matrix; otherwise the previous one repeats.
 				a = NewMatrix(n, n)
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {

@@ -8,7 +8,7 @@
 // open — a well-defined, slowly leaking voltage, exactly the "floating
 // line" physics the partial-fault paper studies).
 //
-// Five stacked optimizations make repeated solves cheap without changing
+// Four stacked optimizations make repeated solves cheap without changing
 // a single bit of the result (see DESIGN.md, "performance layer"):
 //
 //  1. Grounded-source elimination. Sources wired node-to-ground
@@ -23,11 +23,7 @@
 //     static matrix that each Newton iteration copies; only nonlinear
 //     elements (MOSFETs, switches) restamp per iteration, and the
 //     linear right-hand side is rebuilt once per step.
-//  3. Newton bypass. The reduced matrix is compared bit-for-bit against
-//     the last factorized one (numeric.Workspace.FactorizeCached); when
-//     the Jacobian did not change between iterations the LU factors are
-//     reused.
-//  4. Pattern LU. The workspace eliminates and substitutes over the
+//  3. Pattern LU. The workspace eliminates and substitutes over the
 //     learned fill pattern of the reduced Jacobian instead of all 625
 //     entries. It skips only products with an exact-zero factor and a
 //     finite other factor, subtracted from an accumulator that is not
@@ -36,7 +32,7 @@
 //     would swap a row, or a right-hand side or solution is non-finite,
 //     the workspace reruns the dense kernel, so ErrSingular and NaNs
 //     surface exactly as before.
-//  5. No allocation per step. The stamp context lives in the engine,
+//  4. No allocation per step. The stamp context lives in the engine,
 //     reduced stamps write straight into the matrix storage, and the
 //     per-step fold of static couplings to pinned nodes skips the zero
 //     ones (exact while every pinned voltage is finite, as above).
@@ -144,9 +140,8 @@ type Engine struct {
 	// it to the elements allocates nothing.
 	ctx circuit.StampContext
 
-	// factorizations and bypasses count LU work for benchmarks.
+	// factorizations counts LU work for benchmarks.
 	factorizations uint64
-	bypasses       uint64
 }
 
 // NewEngine creates an engine for the circuit. The circuit must already
@@ -289,12 +284,7 @@ func (e *Engine) SetNodeVoltage(net string, v float64) {
 // Resistor.SetResistance during defect injection); waveform swaps on
 // sources do not require it, as the right-hand side is rebuilt each
 // step.
-func (e *Engine) InvalidateStamps() {
-	e.staticOK = false
-	if e.ws != nil {
-		e.ws.InvalidateCache()
-	}
-}
+func (e *Engine) InvalidateStamps() { e.staticOK = false }
 
 // Reset returns the engine to the state of a freshly constructed one:
 // zero solution vector, zero clock, caches dropped. Column pooling uses it to recycle engines across
@@ -327,15 +317,14 @@ func (e *Engine) RestoreState(x []float64, t float64) {
 	e.time = t
 }
 
-// FactorizationCounts returns how many LU factorizations ran, how many
-// were bypassed because the Jacobian was unchanged, and how many of the
-// factorizations (or their solves) ran on the dense kernel instead of the
+// FactorizationCounts returns how many LU factorizations ran and how many
+// of them (or their solves) ran on the dense kernel instead of the
 // learned-pattern one.
-func (e *Engine) FactorizationCounts() (factorized, bypassed, denseFallbacks uint64) {
+func (e *Engine) FactorizationCounts() (factorized, denseFallbacks uint64) {
 	if e.ws != nil {
 		denseFallbacks = e.ws.DenseFallbacks()
 	}
-	return e.factorizations, e.bypasses, denseFallbacks
+	return e.factorizations, denseFallbacks
 }
 
 // refreshStatic rebuilds the cached static stamp when the dt regime
@@ -454,15 +443,10 @@ func (e *Engine) newtonSolve(guess, xPrev []float64, dt float64) error {
 			for _, el := range e.dynamic {
 				el.Stamp(&e.ctx)
 			}
-			reused, err := e.ws.FactorizeCached(e.aRed)
-			if err != nil {
+			if err := e.ws.Factorize(e.aRed); err != nil {
 				return fmt.Errorf("spice: %w (iteration %d)", err, iter)
 			}
-			if reused {
-				e.bypasses++
-			} else {
-				e.factorizations++
-			}
+			e.factorizations++
 			e.ws.Solve(e.bRed, e.xRed)
 			for fi, gi := range e.free {
 				xNew[gi] = e.xRed[fi]

@@ -224,7 +224,7 @@ func (s Spec) validate() error {
 // (linear TCR) and the device drive scale (mobility power law; hot
 // devices are weaker, so the factor is < 1 above base temperature).
 func tempFactors(baseC, cornerC float64) (rScale, driveScale float64) {
-	rScale = 1 + wireTCR*(cornerC-baseC)
+	rScale = 1 + float64(wireTCR*(cornerC-baseC))
 	driveScale = math.Pow((zeroC+baseC)/(zeroC+cornerC), mobilityExp)
 	return rScale, driveScale
 }
@@ -241,8 +241,8 @@ func (s Spec) Derive(base dram.Technology) (dram.Technology, error) {
 	t := base
 	t.VDD = base.VDD * s.VDDScale
 	t.VPP = base.VPP * s.VPPScale
-	t.VBLEQ = base.VBLEQ*s.VDDScale + s.VBLEQShift
-	t.VRefCell = base.VRefCell*s.VDDScale + s.VRefShift
+	t.VBLEQ = float64(base.VBLEQ*s.VDDScale) + s.VBLEQShift
+	t.VRefCell = float64(base.VRefCell*s.VDDScale) + s.VRefShift
 	rScale, driveScale := tempFactors(base.TempC, s.TempC)
 	t.RWire = base.RWire * rScale
 	t.RWriteDriver = base.RWriteDriver * rScale
