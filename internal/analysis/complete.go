@@ -27,8 +27,6 @@ type CompletionConfig struct {
 	// Us are probe voltages spanning the floating range; the completed
 	// FP must be sensitized at every one of them.
 	Us []float64
-	// MaxOps bounds the completing-prefix length (default 3).
-	MaxOps int
 
 	// Ctx, when non-nil, cancels the search between probe simulations.
 	Ctx context.Context
@@ -56,6 +54,9 @@ type Completion struct {
 	Tried int
 }
 
+// maxCompletionOps bounds the completing-prefix length.
+const maxCompletionOps = 3
+
 // completingAlphabet is the candidate completing operations: writes to a
 // bit-line neighbour or to the victim itself. The paper's completions use
 // exactly these (reads are never needed: every read embeds a precharge,
@@ -71,17 +72,13 @@ func completingAlphabet() []fp.Op {
 // initial state; the explicit initialization is then dropped, as the
 // paper does for <[w1 w1 w0] r0/1/1>.
 func SearchCompletion(cfg CompletionConfig) (Completion, error) {
-	maxOps := cfg.MaxOps
-	if maxOps <= 0 {
-		maxOps = 3
-	}
 	if len(cfg.RDefs) == 0 || len(cfg.Us) == 0 {
 		return Completion{}, fmt.Errorf("analysis: completion search needs probe points")
 	}
 	base := cfg.Base
 	initBit, haveInit := initBitOf(base.S.Init)
 	result := Completion{}
-	for n := 1; n <= maxOps; n++ {
+	for n := 1; n <= maxCompletionOps; n++ {
 		for _, prefix := range prefixesOfLength(n) {
 			lastVictim, hasVictim := lastVictimWrite(prefix)
 			if hasVictim && haveInit && lastVictim != initBit {

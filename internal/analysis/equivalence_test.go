@@ -30,40 +30,56 @@ func mustOpen(t *testing.T, id int) defect.Open {
 // the error-path deadlock: the old worker-pool sweep had workers return
 // on error while the producer kept blocking on an unbuffered job
 // channel. Every point failing — more points than pool slots — must
-// still terminate and surface an error.
+// still terminate and surface the dense oracle's error: the factory
+// error at the first point in grid order.
 func TestSweepPlaneFailingFactoryReturnsError(t *testing.T) {
 	boom := errors.New("boom")
 	failing := analysis.Factory(func(defect.Open, float64) (analysis.Memory, error) {
 		return nil, boom
 	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := analysis.SweepPlane(analysis.SweepConfig{
-			Factory: failing,
-			Open:    mustOpen(t, 4),
-			Float:   mustOpen(t, 4).Floats[0],
-			SOS:     fp.NewSOS(fp.Init1, fp.R(1)),
-			RDefs:   numeric.Logspace(1e3, 1e7, 6),
-			Us:      numeric.Linspace(0, 3.3, 6),
-			// Fewer slots than failing points: the old code deadlocked here.
-			Parallelism: 2,
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
+	sweep := func(run func(analysis.SweepConfig) (*analysis.Plane, error)) error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := run(analysis.SweepConfig{
+				Factory: failing,
+				Open:    mustOpen(t, 4),
+				Float:   mustOpen(t, 4).Floats[0],
+				SOS:     fp.NewSOS(fp.Init1, fp.R(1)),
+				RDefs:   numeric.Logspace(1e3, 1e7, 6),
+				Us:      numeric.Linspace(0, 3.3, 6),
+				// Fewer slots than failing points: the old code deadlocked here.
+				Pool: analysis.NewPool(2),
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(30 * time.Second):
+			t.Fatal("sweep deadlocked on an always-failing factory")
+			return nil
+		}
+	}
+	want := sweep(analysis.DenseSweep)
+	if !errors.Is(want, boom) {
+		t.Fatalf("dense oracle: want the factory error, got %v", want)
+	}
+	for trial := 0; trial < 4; trial++ {
+		err := sweep(analysis.SweepPlane)
 		if !errors.Is(err, boom) {
 			t.Fatalf("want the factory error, got %v", err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("SweepPlane deadlocked on an always-failing factory")
+		if err.Error() != want.Error() {
+			t.Fatalf("SweepPlane error %q, dense oracle %q", err, want)
+		}
 	}
 }
 
-// sweepBoth runs the same sweep twice — once naively (fresh build per
-// point, no caches) and once through the full performance layer (pool,
-// replay or pooled factory) — and requires bit-for-bit identical
-// planes. Outcomes feed golden tables, so "close" is not enough.
+// sweepBoth runs the same sweep twice — once naively (the dense oracle,
+// fresh build per point, no caches) and once through production
+// SweepPlane with the full performance layer (pool, replay or pooled
+// factory) — and requires bit-for-bit identical planes. Outcomes feed
+// golden tables, so "close" is not enough.
 func sweepBoth(t *testing.T, naive, fast analysis.Factory, open defect.Open, soses []fp.SOS, rdefs, us []float64) {
 	t.Helper()
 	group := open.Floats[0]
@@ -71,7 +87,7 @@ func sweepBoth(t *testing.T, naive, fast analysis.Factory, open defect.Open, sos
 	replay := analysis.NewReplayCache(fast, open, group.Nets)
 	defer replay.Close()
 	for _, sos := range soses {
-		plain, err := analysis.SweepPlane(analysis.SweepConfig{
+		plain, err := analysis.DenseSweep(analysis.SweepConfig{
 			Factory: naive, Open: open, Float: group, SOS: sos,
 			RDefs: rdefs, Us: us,
 		})

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
@@ -50,9 +49,6 @@ type SweepConfig struct {
 	SOS fp.SOS
 	// RDefs and Us are the grid axes.
 	RDefs, Us []float64
-	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
-	// Ignored when Pool is set.
-	Parallelism int
 
 	// Ctx, when non-nil, cancels the sweep: points not yet started are
 	// abandoned and the context error is returned.
@@ -63,14 +59,14 @@ type SweepConfig struct {
 	// Float.Nets.
 	Replay *ReplayCache
 	// Pool, when non-nil, bounds concurrency together with the other
-	// pipeline phases instead of a sweep-local limit.
+	// pipeline phases; nil means a sweep-local pool of GOMAXPROCS slots.
 	Pool *Pool
 }
 
 // pointAt materializes the Point for one grid position from its raw
 // simulation outcome. The Outcome fully determines the classification,
-// so dense sweeps and traced sweeps that agree on outcomes produce
-// byte-identical Points through this single code path.
+// so sweeps that agree on outcomes produce byte-identical Points through
+// this single code path.
 func pointAt(sos fp.SOS, rdef, u float64, out Outcome) Point {
 	pt := Point{RDef: rdef, U: u}
 	if obs, faulty := ClassifyOutcome(sos, out); faulty {
@@ -81,46 +77,15 @@ func pointAt(sos fp.SOS, rdef, u float64, out Outcome) Point {
 	return pt
 }
 
-// SweepPlane simulates every grid point, in parallel. Points are fully
-// independent (each builds — or checks caches for — its own defective
-// memory state), so the sweep spawns one goroutine per point gated by a
-// semaphore. Failures park in per-point slots and the first one in grid
-// order is returned after all workers finish: a failing point can never
-// stall the sweep, no matter how many points fail.
+// SweepPlane simulates every grid point: it is TracePlane at stride 1,
+// where every grid point is a seed, so the tracer simulates every point
+// and infers none. The points run in parallel under the pool, in one
+// row-major batch; failures park in per-point slots and the first one in
+// grid order is returned after every started point finishes, so a
+// failing point can never stall the sweep.
 func SweepPlane(cfg SweepConfig) (*Plane, error) {
-	if len(cfg.RDefs) == 0 || len(cfg.Us) == 0 {
-		return nil, fmt.Errorf("analysis: empty sweep grid")
-	}
-	p := &Plane{
-		Open:  cfg.Open,
-		Float: cfg.Float,
-		SOS:   cfg.SOS,
-		RDefs: cfg.RDefs,
-		Us:    cfg.Us,
-	}
-	p.Points = make([][]Point, len(cfg.RDefs))
-	for i := range p.Points {
-		p.Points[i] = make([]Point, len(cfg.Us))
-	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = NewPool(cfg.Parallelism)
-	}
-	nU := len(cfg.Us)
-	err := pool.ForEach(cfg.Ctx, len(cfg.RDefs)*nU, func(k int) error {
-		i, j := k/nU, k%nU
-		rdef, u := cfg.RDefs[i], cfg.Us[j]
-		out, err := evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cfg.SOS, cfg.Replay)
-		if err != nil {
-			return fmt.Errorf("analysis: point (%.3g Ω, %.3g V): %w", rdef, u, err)
-		}
-		p.Points[i][j] = pointAt(cfg.SOS, rdef, u, out)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	p, _, err := TracePlane(TraceConfig{SweepConfig: cfg, Stride: 1})
+	return p, err
 }
 
 // FFMs returns the set of named FFMs observed anywhere in the plane.

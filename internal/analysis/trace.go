@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -17,12 +17,13 @@ const DefaultTraceStride = 6
 
 // TraceConfig parameterizes an adaptive boundary-tracing plane sweep.
 // The embedded SweepConfig means every TracePlane call site can also
-// run SweepPlane on the identical inputs — the differential tests do.
+// run the dense oracle on the identical inputs — the differential tests
+// do.
 type TraceConfig struct {
 	SweepConfig
 	// Stride is the coarse seed stride in grid indices; 0 means
-	// DefaultTraceStride. Stride 1 degenerates to a dense sweep through
-	// the tracing code path (every point is a seed).
+	// DefaultTraceStride. Stride 1 is the dense sweep (SweepPlane):
+	// every point is a seed.
 	Stride int
 }
 
@@ -99,7 +100,7 @@ func (c *TraceCounters) Snapshot() (TraceStats, int) {
 type SweepMode string
 
 const (
-	// SweepDense simulates every grid point (SweepPlane).
+	// SweepDense simulates every grid point (SweepPlane, stride 1).
 	SweepDense SweepMode = "dense"
 	// SweepTraced traces region boundaries adaptively (TracePlane).
 	SweepTraced SweepMode = "traced"
@@ -117,8 +118,9 @@ func ParseSweepMode(s string) (SweepMode, error) {
 	return "", fmt.Errorf("analysis: unknown sweep mode %q (want %q or %q)", s, SweepDense, SweepTraced)
 }
 
-// RunSweep dispatches one plane sweep to the selected strategy. Traced
-// sweeps seed at DefaultTraceStride and fold their stats into counters
+// RunSweep runs one plane sweep at the stride of the selected mode:
+// dense sweeps at stride 1 (SweepPlane), traced sweeps at
+// DefaultTraceStride. Only traced sweeps fold their stats into counters
 // when given. The traced plane equals the dense one wherever
 // every fault region holds a sample (the differential suite checks the
 // catalog at seed resolution), but on a coarse grid it can miss a
@@ -145,7 +147,7 @@ func RunSweep(mode SweepMode, counters *TraceCounters, cfg SweepConfig) (*Plane,
 // verdict until the disagreement is resolved at single-cell
 // resolution, and finally fills each remaining cell from its unanimous
 // sampled perimeter. The resulting *Plane carries exactly the Points a
-// SweepPlane of the same SweepConfig would produce whenever every
+// dense sweep (stride 1) of the same SweepConfig produces whenever every
 // fault region of the dense plane contains at least one traced sample
 // — which the differential suite proves for the whole defect catalog.
 // No point is ever guessed between candidate verdicts: a cell is
@@ -167,7 +169,7 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 		nU:  len(cfg.Us),
 	}
 	if t.pool = cfg.Pool; t.pool == nil {
-		t.pool = NewPool(cfg.Parallelism)
+		t.pool = NewPool(0)
 	}
 	t.out = make([][]Outcome, t.nR)
 	t.known = make([][]bool, t.nR)
@@ -180,7 +182,7 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 	seedsU := seedIndices(t.nU, stride)
 
 	// Phase 1: classify the coarse seed lattice.
-	var batch []gridPt
+	batch := make([]gridPt, 0, len(seedsR)*len(seedsU))
 	for _, i := range seedsR {
 		for _, j := range seedsU {
 			batch = append(batch, gridPt{i, j})
@@ -191,13 +193,17 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 	}
 
 	// Initial cells span consecutive seed pairs; their edges are the
-	// initial bisection segments.
+	// initial bisection segments. When the seeds are the whole grid (at
+	// stride 1, the dense sweep) every cell is a 1×1 cell with a known
+	// perimeter, so none is built and the phases below do nothing.
 	var cells []traceCell
-	for a := 0; a < len(seedsR)-1 || (len(seedsR) == 1 && a == 0); a++ {
-		i0, i1 := seedsR[a], seedsR[min(a+1, len(seedsR)-1)]
-		for b := 0; b < len(seedsU)-1 || (len(seedsU) == 1 && b == 0); b++ {
-			j0, j1 := seedsU[b], seedsU[min(b+1, len(seedsU)-1)]
-			cells = append(cells, traceCell{i0, i1, j0, j1})
+	if t.stats.Seeded < t.nR*t.nU {
+		for a := 0; a < len(seedsR)-1 || (len(seedsR) == 1 && a == 0); a++ {
+			i0, i1 := seedsR[a], seedsR[min(a+1, len(seedsR)-1)]
+			for b := 0; b < len(seedsU)-1 || (len(seedsU) == 1 && b == 0); b++ {
+				j0, j1 := seedsU[b], seedsU[min(b+1, len(seedsU)-1)]
+				cells = append(cells, traceCell{i0, i1, j0, j1})
+			}
 		}
 	}
 	var segs []traceSeg
@@ -373,27 +379,27 @@ type tracer struct {
 
 // classify simulates every not-yet-known point of the batch in
 // parallel through the shared evaluation pipeline (replay, pool),
-// crediting the given counter. The batch is deduplicated and
-// sorted so batch membership, stats and the error returned on failure
-// (first in grid order) are all independent of goroutine scheduling.
+// crediting the given counter. The batch is sorted into grid order and
+// deduplicated in place, so batch membership, stats and the error
+// returned on failure (first in grid order) are all independent of
+// goroutine scheduling.
 func (t *tracer) classify(batch []gridPt, counter *int) error {
-	seen := make(map[gridPt]bool, len(batch))
+	slices.SortFunc(batch, func(a, b gridPt) int {
+		if a.i != b.i {
+			return a.i - b.i
+		}
+		return a.j - b.j
+	})
+	// A repeat of a kept point follows it directly once sorted.
 	work := batch[:0]
 	for _, p := range batch {
-		if !seen[p] && !t.known[p.i][p.j] {
-			seen[p] = true
+		if !t.known[p.i][p.j] && (len(work) == 0 || work[len(work)-1] != p) {
 			work = append(work, p)
 		}
 	}
 	if len(work) == 0 {
 		return nil
 	}
-	sort.Slice(work, func(a, b int) bool {
-		if work[a].i != work[b].i {
-			return work[a].i < work[b].i
-		}
-		return work[a].j < work[b].j
-	})
 	*counter += len(work)
 	err := t.pool.ForEach(t.cfg.Ctx, len(work), func(k int) error {
 		p := work[k]

@@ -82,23 +82,35 @@ func comparePlanes(t *testing.T, label string, traced, dense *analysis.Plane) {
 	}
 }
 
-// diffOne sweeps one (open, SOS, grid) both ways with independent
-// counting factories and returns the engine-call counts.
+// diffOne sweeps one (open, SOS, grid) three ways with independent
+// counting factories: the dense oracle, production SweepPlane and the
+// traced sweep. SweepPlane must equal the oracle bit for bit and
+// simulate every point; the traced plane must match the oracle. It
+// returns the traced and the dense engine-call counts.
 func diffOne(t *testing.T, factory analysis.Factory, open defect.Open, sos fp.SOS, rdefs, us []float64, label string) (tracedCalls, denseCalls int) {
 	t.Helper()
-	group := open.Floats[0]
-	var cd, ct countingFactory
-	dense, err := analysis.SweepPlane(analysis.SweepConfig{
-		Factory: cd.wrap(factory), Open: open, Float: group, SOS: sos,
-		RDefs: rdefs, Us: us, Parallelism: 4,
-	})
+	sweep := func(c *countingFactory) analysis.SweepConfig {
+		return analysis.SweepConfig{
+			Factory: c.wrap(factory), Open: open, Float: open.Floats[0], SOS: sos,
+			RDefs: rdefs, Us: us, Pool: analysis.NewPool(4),
+		}
+	}
+	var cd, cs, ct countingFactory
+	dense, err := analysis.DenseSweep(sweep(&cd))
 	if err != nil {
 		t.Fatalf("%s: dense: %v", label, err)
 	}
-	traced, stats, err := analysis.TracePlane(analysis.TraceConfig{SweepConfig: analysis.SweepConfig{
-		Factory: ct.wrap(factory), Open: open, Float: group, SOS: sos,
-		RDefs: rdefs, Us: us, Parallelism: 4,
-	}})
+	swept, err := analysis.SweepPlane(sweep(&cs))
+	if err != nil {
+		t.Fatalf("%s: SweepPlane: %v", label, err)
+	}
+	if !reflect.DeepEqual(swept, dense) {
+		t.Errorf("%s: SweepPlane is not bit-identical to the dense oracle", label)
+	}
+	if cs.count() != len(rdefs)*len(us) {
+		t.Errorf("%s: SweepPlane built %d memories, grid has %d points", label, cs.count(), len(rdefs)*len(us))
+	}
+	traced, stats, err := analysis.TracePlane(analysis.TraceConfig{SweepConfig: sweep(&ct)})
 	if err != nil {
 		t.Fatalf("%s: traced: %v", label, err)
 	}

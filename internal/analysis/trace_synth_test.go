@@ -96,11 +96,11 @@ func fieldAxes(field [][]uint8) (rdefs, us []float64) {
 func fieldSweepConfig(field [][]uint8, rec *fieldRecorder) SweepConfig {
 	rdefs, us := fieldAxes(field)
 	return SweepConfig{
-		Factory:     fieldFactory(field, rec),
-		SOS:         fieldSOS(),
-		RDefs:       rdefs,
-		Us:          us,
-		Parallelism: 4,
+		Factory: fieldFactory(field, rec),
+		SOS:     fieldSOS(),
+		RDefs:   rdefs,
+		Us:      us,
+		Pool:    NewPool(4),
 	}
 }
 
@@ -114,12 +114,12 @@ func traceField(t testing.TB, field [][]uint8, stride int, rec *fieldRecorder) (
 	return p, stats
 }
 
-// denseField runs SweepPlane over the synthetic field.
+// denseField runs the dense oracle over the synthetic field.
 func denseField(t testing.TB, field [][]uint8) *Plane {
 	t.Helper()
-	p, err := SweepPlane(fieldSweepConfig(field, nil))
+	p, err := DenseSweep(fieldSweepConfig(field, nil))
 	if err != nil {
-		t.Fatalf("SweepPlane: %v", err)
+		t.Fatalf("DenseSweep: %v", err)
 	}
 	return p
 }
@@ -385,8 +385,9 @@ func TestTraceFieldSubStrideRegions(t *testing.T) {
 }
 
 func TestTraceFieldStrideOneIsDense(t *testing.T) {
-	// Stride=1 must simulate every point (nothing inferable) and match
-	// the dense sweep on arbitrary fields.
+	// Stride=1, the stride SweepPlane runs, must simulate every point
+	// (Simulated() == Points(), nothing inferred) and match the dense
+	// oracle on arbitrary fields.
 	rng := rand.New(rand.NewSource(4))
 	field := uniformField(7, 9, 0)
 	for i := range field {
@@ -443,7 +444,7 @@ func TestTraceFieldDeterminism(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			cfg := fieldSweepConfig(field, nil)
-			cfg.Parallelism = 8
+			cfg.Pool = NewPool(8)
 			p, s, err := TracePlane(TraceConfig{SweepConfig: cfg, Stride: 4})
 			results[g] = result{p, s, err}
 		}(g)

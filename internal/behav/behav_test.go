@@ -194,10 +194,9 @@ func TestOpen9CompletionNotPossible(t *testing.T) {
 	grp, _ := o.Float(defect.FloatWordLine)
 	comp, err := analysis.SearchCompletion(analysis.CompletionConfig{
 		Factory: NewFactory(DefaultParams()), Open: o, Float: grp,
-		Base:   fp.MustParse("<0/1/->"),
-		RDefs:  []float64{1e8},
-		Us:     []float64{0, 4.0},
-		MaxOps: 2,
+		Base:  fp.MustParse("<0/1/->"),
+		RDefs: []float64{1e8},
+		Us:    []float64{0, 4.0},
 	})
 	if err != nil {
 		t.Fatalf("SearchCompletion: %v", err)
