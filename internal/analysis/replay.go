@@ -17,10 +17,14 @@ import (
 // cache instead keeps, per probe resistance, one live Snapshotter memory
 // and a prefix tree whose edges are protocol steps —
 //
-//	setup(init, u) → op(kind, cell, data)* [→ idle]
+//	setup(init, u) → (precharge → access(kind, cell, data))* [→ precharge]
 //
 // — and whose nodes hold the memory state snapshot plus the observed
-// victim bit and read value after that step. An SOS evaluation walks the
+// victim bit and read value after that step. Every operation starts
+// with the same precharge (Memory.Idle), so the precharge is an edge of
+// its own: the sequences that branch after one state (0, 0w0, 0w1 and
+// 0r0 at one (R_def, U), or every completion candidate that extends one
+// prefix) simulate that precharge once. An SOS evaluation walks the
 // tree, restores the deepest cached state, and simulates only the unseen
 // suffix. Because Restore reproduces the dynamic state exactly (see
 // Snapshotter), the outcome is bit-for-bit the fresh-build outcome — the
@@ -41,9 +45,11 @@ type ReplayCache struct {
 	replayed  atomic.Uint64 // protocol steps served from the tree
 }
 
-// replayEdge is one protocol step. kind is 's' (setup), 'w' (write),
-// 'r' (read) or 'i' (idle); u and init are only set on setup edges,
-// cell and data only on operation edges.
+// replayEdge is one protocol step. kind is 's' (setup), 'i' (the
+// precharge every operation starts with, alone the idle period of a
+// state-fault SOS), 'w' (the rest of a write) or 'r' (the rest of a
+// read); u and init are only set on setup edges, cell and data only on
+// access edges.
 type replayEdge struct {
 	kind byte
 	cell int
@@ -109,7 +115,10 @@ func (rc *ReplayCache) Run(rdef float64, u float64, sos fp.SOS) (Outcome, error)
 		if op.Target == fp.TargetBitLine {
 			e.cell = 1
 		}
-		cur, err = rc.walk(root, cur, e)
+		cur, err = rc.walk(root, cur, replayEdge{kind: 'i'})
+		if err == nil {
+			cur, err = rc.walk(root, cur, e)
+		}
 		if err != nil {
 			return Outcome{}, fmt.Errorf("analysis: op %d (%s): %w", i, op, err)
 		}

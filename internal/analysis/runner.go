@@ -18,13 +18,22 @@ import (
 // internal floating voltages can be forced, matching the paper's
 // simulation protocol. Cell 0 is the victim; cell 1 is a cell on the
 // victim's bit line.
+//
+// Every operation starts with the same precharge phase, so the protocol
+// issues an operation as two calls: Idle, the precharge, then Write or
+// Read, the rest of the operation on the precharged column. The two
+// together are one full memory operation. Splitting them lets the
+// replay cache simulate a precharge once for all the operations that
+// follow it from one state.
 type Memory interface {
-	// Write performs a write operation of bit to the cell.
+	// Write performs the rest of a write of bit to the cell after the
+	// operation's leading precharge (Idle).
 	Write(cell, bit int) error
-	// Read performs a read operation and returns the output value.
+	// Read performs the rest of a read after the operation's leading
+	// precharge (Idle) and returns the output value.
 	Read(cell int) (int, error)
-	// Idle lets one operation-length period pass without an access (the
-	// memory still precharges); used to sensitize state faults.
+	// Idle runs one precharge phase: the start of every operation, and
+	// on its own the idle period that sensitizes state faults.
 	Idle() error
 	// ForceVictim sets the victim's stored state directly, implementing
 	// the SOS initialization (the leading 0/1 of the notation is a
@@ -162,8 +171,8 @@ type spiceMemory struct {
 	pool *columnPool // nil for unpooled memories
 }
 
-func (m *spiceMemory) Write(cell, bit int) error  { return m.col.Write(cell, bit) }
-func (m *spiceMemory) Read(cell int) (int, error) { return m.col.Read(cell) }
+func (m *spiceMemory) Write(cell, bit int) error  { return m.col.WriteAccess(cell, bit) }
+func (m *spiceMemory) Read(cell int) (int, error) { return m.col.ReadAccess(cell) }
 func (m *spiceMemory) Idle() error                { return m.col.Precharge() }
 
 func (m *spiceMemory) ForceVictim(bit int) {
@@ -209,9 +218,10 @@ type Outcome struct {
 
 // RunSOS applies the SOS to a freshly built defective memory following
 // the paper's protocol: establish the initial state, overwrite the
-// floating nets with u, apply the operations, observe (F, R). Memories
-// implementing Releaser are returned to their pool before RunSOS
-// returns.
+// floating nets with u, apply the operations (each one an Idle, its
+// precharge, then the Write or Read), observe (F, R). An SOS without
+// operations is one Idle. Memories implementing Releaser are returned
+// to their pool before RunSOS returns.
 func RunSOS(factory Factory, open defect.Open, rdef float64, floatNets []string, u float64, sos fp.SOS) (Outcome, error) {
 	mem, err := factory(open, rdef)
 	if err != nil {
@@ -239,6 +249,9 @@ func runSOSOn(mem Memory, floatNets []string, u float64, sos fp.SOS) (Outcome, e
 		cell := 0
 		if op.Target == fp.TargetBitLine {
 			cell = 1
+		}
+		if err := mem.Idle(); err != nil {
+			return Outcome{}, fmt.Errorf("analysis: op %d (%s): %w", i, op, err)
 		}
 		switch op.Kind {
 		case fp.OpWrite:

@@ -13,8 +13,8 @@ type memory struct {
 	m *Model
 }
 
-func (a *memory) Write(cell, bit int) error  { return a.m.Write(cell, bit) }
-func (a *memory) Read(cell int) (int, error) { return a.m.Read(cell) }
+func (a *memory) Write(cell, bit int) error  { return a.m.WriteAccess(cell, bit) }
+func (a *memory) Read(cell int) (int, error) { return a.m.ReadAccess(cell) }
 func (a *memory) Idle() error                { return a.m.Precharge() }
 
 func (a *memory) ForceVictim(bit int) {

@@ -285,15 +285,22 @@ func (m *Model) closeOp(ph phase) {
 }
 
 // Write performs a w0/w1 to the cell (read-modify-write, like the
-// electrical controller).
+// electrical controller): a precharge, then WriteAccess.
 func (m *Model) Write(cell, bit int) error {
+	if err := m.Precharge(); err != nil {
+		return err
+	}
+	return m.WriteAccess(cell, bit)
+}
+
+// WriteAccess runs everything of a write after its leading precharge:
+// activate, sense, drive the datum, close. On a precharged model it
+// completes the operation Write performs.
+func (m *Model) WriteAccess(cell, bit int) error {
 	if bit != 0 && bit != 1 {
 		panic(fmt.Sprintf("behav: write data %d out of range", bit))
 	}
 	t := m.P.Tech
-	if err := m.Precharge(); err != nil {
-		return err
-	}
 	ph := m.access(cell)
 	ph.csl, ph.wen, ph.wdata = true, true, bit
 	m.run(t.TWrite, ph)
@@ -303,12 +310,20 @@ func (m *Model) Write(cell, bit int) error {
 	return nil
 }
 
-// Read performs a read and returns the output-buffer value.
+// Read performs a read and returns the output-buffer value: a
+// precharge, then ReadAccess.
 func (m *Model) Read(cell int) (int, error) {
-	t := m.P.Tech
 	if err := m.Precharge(); err != nil {
 		return 0, err
 	}
+	return m.ReadAccess(cell)
+}
+
+// ReadAccess runs everything of a read after its leading precharge and
+// returns the output-buffer value. On a precharged model it completes
+// the operation Read performs.
+func (m *Model) ReadAccess(cell int) (int, error) {
+	t := m.P.Tech
 	ph := m.access(cell)
 	ph.csl, ph.ren = true, true
 	m.run(t.TIO, ph)

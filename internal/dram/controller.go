@@ -125,15 +125,23 @@ func (c *Column) close(cell int) error {
 // Write performs a w0 or w1 operation to the given cell: precharge,
 // activate and sense (DRAM writes are read-modify-write at the column
 // level), then the write driver overpowers the sense amplifier with the
-// new datum while the word line is still up.
+// new datum while the word line is still up. It is Precharge followed
+// by WriteAccess.
 func (c *Column) Write(cell, bit int) error {
+	if err := c.Precharge(); err != nil {
+		return err
+	}
+	return c.WriteAccess(cell, bit)
+}
+
+// WriteAccess runs everything of a write after its leading precharge:
+// activate, sense, drive the datum, close. On a precharged column it
+// completes the operation Write performs.
+func (c *Column) WriteAccess(cell, bit int) error {
 	if bit != 0 && bit != 1 {
 		panic(fmt.Sprintf("dram: write data %d out of range", bit))
 	}
 	t := c.Tech
-	if err := c.Precharge(); err != nil {
-		return err
-	}
 	if err := c.access(cell); err != nil {
 		return err
 	}
@@ -158,12 +166,20 @@ func (c *Column) Write(cell, bit int) error {
 }
 
 // Read performs a read operation on the given cell and returns the logic
-// value captured in the output buffer.
+// value captured in the output buffer. It is Precharge followed by
+// ReadAccess.
 func (c *Column) Read(cell int) (int, error) {
-	t := c.Tech
 	if err := c.Precharge(); err != nil {
 		return 0, err
 	}
+	return c.ReadAccess(cell)
+}
+
+// ReadAccess runs everything of a read after its leading precharge and
+// returns the output-buffer value. On a precharged column it completes
+// the operation Read performs.
+func (c *Column) ReadAccess(cell int) (int, error) {
+	t := c.Tech
 	if err := c.access(cell); err != nil {
 		return 0, err
 	}
