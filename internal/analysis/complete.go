@@ -77,6 +77,9 @@ func SearchCompletion(cfg CompletionConfig) (Completion, error) {
 	}
 	base := cfg.Base
 	initBit, haveInit := initBitOf(base.S.Init)
+	// hints[r] indexes the voltage that last rejected a candidate at
+	// cfg.RDefs[r].
+	hints := make([]int, len(cfg.RDefs))
 	result := Completion{}
 	for n := 1; n <= maxCompletionOps; n++ {
 		for _, prefix := range prefixesOfLength(n) {
@@ -88,7 +91,7 @@ func SearchCompletion(cfg CompletionConfig) (Completion, error) {
 			if hasVictim {
 				cand.Init = fp.InitNone
 			}
-			ok, err := completedEverywhere(cfg, cand, base)
+			ok, err := completedEverywhere(cfg, cand, base, hints)
 			result.Tried++
 			if err != nil {
 				return Completion{}, err
@@ -110,31 +113,58 @@ func SearchCompletion(cfg CompletionConfig) (Completion, error) {
 // mixed-class rows where the F component degrades (RDF0 → IRF0 at
 // extreme resistance) a lax "any deviation" rule would accept trivial
 // prefixes that don't complete anything.
-func completedEverywhere(cfg CompletionConfig, cand fp.SOS, base fp.FP) (bool, error) {
-	for _, rdef := range cfg.RDefs {
+//
+// The verdict at a resistance is "every voltage passes", so the order
+// in which the voltages run cannot change it. One voltage usually
+// rejects a candidate, so each resistance first tries the voltage that
+// last rejected one there (hints[r]), then the rest in order. An error
+// at that hinted voltage is returned only if every voltage before it in
+// order passes; otherwise the candidate is rejected where the in-order
+// search rejects it.
+func completedEverywhere(cfg CompletionConfig, cand fp.SOS, base fp.FP, hints []int) (bool, error) {
+	passes := func(rdef, u float64) (bool, error) {
+		if cfg.Ctx != nil {
+			if err := cfg.Ctx.Err(); err != nil {
+				return false, err
+			}
+		}
+		var out Outcome
+		var err error
+		run := func() {
+			out, err = evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Replay)
+		}
+		if cfg.Pool != nil {
+			if perr := cfg.Pool.DoContext(cfg.Ctx, run); perr != nil {
+				return false, perr
+			}
+		} else {
+			run()
+		}
+		if err != nil {
+			return false, err
+		}
+		return out.F == base.F && out.R == base.R, nil
+	}
+	for r, rdef := range cfg.RDefs {
+		h := hints[r]
+		ok, hintErr := passes(rdef, cfg.Us[h])
+		if hintErr == nil && !ok {
+			continue
+		}
 		allUs := true
-		for _, u := range cfg.Us {
-			var out Outcome
-			var err error
-			run := func() {
-				out, err = evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Replay)
-			}
-			if cfg.Pool != nil {
-				if perr := cfg.Pool.DoContext(cfg.Ctx, run); perr != nil {
-					return false, perr
+		for j, u := range cfg.Us {
+			if j == h {
+				if hintErr != nil {
+					return false, hintErr
 				}
-			} else {
-				if cfg.Ctx != nil {
-					if cerr := cfg.Ctx.Err(); cerr != nil {
-						return false, cerr
-					}
-				}
-				run()
+				continue
 			}
+			ok, err := passes(rdef, u)
 			if err != nil {
 				return false, err
 			}
-			if out.F != base.F || out.R != base.R {
+			if !ok {
+				hints[r] = j
 				allUs = false
 				break
 			}
