@@ -39,7 +39,8 @@ type CompletionConfig struct {
 	Replay *ReplayCache
 	// Pool, when non-nil, gates each probe simulation on the shared
 	// pipeline pool so completion searches running alongside sweeps keep
-	// total concurrency bounded.
+	// total concurrency bounded. A probe takes a slot only while it
+	// simulates.
 	Pool *Pool
 }
 
@@ -128,18 +129,7 @@ func completedEverywhere(cfg CompletionConfig, cand fp.SOS, base fp.FP, hints []
 				return false, err
 			}
 		}
-		var out Outcome
-		var err error
-		run := func() {
-			out, err = evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Replay)
-		}
-		if cfg.Pool != nil {
-			if perr := cfg.Pool.DoContext(cfg.Ctx, run); perr != nil {
-				return false, perr
-			}
-		} else {
-			run()
-		}
+		out, err := evalSOS(cfg.Ctx, cfg.Pool, cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Replay)
 		if err != nil {
 			return false, err
 		}

@@ -50,23 +50,7 @@ func completedEverywhereOracle(cfg CompletionConfig, cand fp.SOS, base fp.FP) (b
 	for _, rdef := range cfg.RDefs {
 		allUs := true
 		for _, u := range cfg.Us {
-			var out Outcome
-			var err error
-			run := func() {
-				out, err = evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Replay)
-			}
-			if cfg.Pool != nil {
-				if perr := cfg.Pool.DoContext(cfg.Ctx, run); perr != nil {
-					return false, perr
-				}
-			} else {
-				if cfg.Ctx != nil {
-					if cerr := cfg.Ctx.Err(); cerr != nil {
-						return false, cerr
-					}
-				}
-				run()
-			}
+			out, err := evalSOS(cfg.Ctx, cfg.Pool, cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cand, cfg.Replay)
 			if err != nil {
 				return false, err
 			}

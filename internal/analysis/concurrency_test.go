@@ -9,6 +9,7 @@ package analysis_test
 // (CI does) this also proves the locking discipline.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -61,6 +62,7 @@ func TestReplayConcurrentHammer(t *testing.T) {
 
 	rc := analysis.NewReplayCache(factory, open, nets)
 	defer rc.Close()
+	pool := analysis.NewPool(3)
 
 	const workers = 8
 	const rounds = 3
@@ -79,7 +81,7 @@ func TestReplayConcurrentHammer(t *testing.T) {
 					// on different jobs at any instant but all jobs overall.
 					i := (k + w*len(jobs)/workers) % len(jobs)
 					j := jobs[i]
-					out, err := rc.Run(j.rdef, j.u, j.sos)
+					out, err := rc.Run(context.Background(), pool, j.rdef, j.u, j.sos)
 					if err != nil {
 						errs[w] = err
 						return
@@ -109,7 +111,7 @@ func TestReplayConcurrentHammer(t *testing.T) {
 	serial := analysis.NewReplayCache(factory, open, nets)
 	defer serial.Close()
 	for _, j := range jobs {
-		if _, err := serial.Run(j.rdef, j.u, j.sos); err != nil {
+		if _, err := serial.Run(context.Background(), nil, j.rdef, j.u, j.sos); err != nil {
 			t.Fatal(err)
 		}
 	}

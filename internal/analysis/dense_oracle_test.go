@@ -29,10 +29,10 @@ func DenseSweep(cfg SweepConfig) (*Plane, error) {
 		pool = NewPool(0)
 	}
 	nU := len(cfg.Us)
-	err := pool.ForEach(cfg.Ctx, len(cfg.RDefs)*nU, func(k int) error {
+	err := forEach(cfg.Ctx, len(cfg.RDefs)*nU, func(k int) error {
 		i, j := k/nU, k%nU
 		rdef, u := cfg.RDefs[i], cfg.Us[j]
-		out, err := evalSOS(cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cfg.SOS, cfg.Replay)
+		out, err := evalSOS(cfg.Ctx, pool, cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cfg.SOS, cfg.Replay)
 		if err != nil {
 			return fmt.Errorf("analysis: point (%.3g Ω, %.3g V): %w", rdef, u, err)
 		}

@@ -9,9 +9,16 @@ import (
 // Pool is a counting semaphore bounding concurrent simulations across
 // the whole analysis pipeline. BuildInventory shares one pool between
 // its sweeps and completion searches so total concurrency stays bounded
-// regardless of how many units run at once; only leaf simulation tasks
-// acquire a slot, never coordinating goroutines, which rules out
-// nested-hold deadlocks by construction.
+// regardless of how many units run at once. A slot is held only while
+// a memory simulates, never by coordinating goroutines, and never while
+// waiting for anything but the slot itself.
+//
+// The lock order is a replay root first, then a slot: ReplayCache.Run
+// locks the root of the evaluation's resistance, serves what its tree
+// holds, and takes a slot only to simulate the missing suffix. Nobody
+// waits for a root while holding a slot, so the two cannot deadlock,
+// and a task waiting for a busy root leaves the slots to tasks on other
+// roots.
 type Pool struct {
 	sem chan struct{}
 }
@@ -34,10 +41,20 @@ func (p *Pool) Do(f func()) {
 
 // DoContext runs f while holding a pool slot, giving up with ctx.Err()
 // if the context is cancelled before a slot frees up (or by the time
-// one does). A nil context degrades to Do. Once f starts it runs to
+// one does). A nil context degrades to Do; a nil pool runs f without a
+// slot, after the same context check. Once f starts it runs to
 // completion — leaf simulations are short; cancellation cuts the queue,
 // not a simulation mid-flight.
 func (p *Pool) DoContext(ctx context.Context, f func()) error {
+	if p == nil {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		f()
+		return nil
+	}
 	if ctx == nil {
 		p.Do(f)
 		return nil
@@ -55,21 +72,25 @@ func (p *Pool) DoContext(ctx context.Context, f func()) error {
 	return nil
 }
 
-// ForEach runs f(0)…f(n-1) concurrently, each under a pool slot, waits
-// for all of them, and returns the lowest-index error — a deterministic
-// choice no matter which task failed first in wall-clock time. A
-// context cancellation abandons not-yet-started tasks (their slot error
-// parks in the same per-index slot), never a running one.
-func (p *Pool) ForEach(ctx context.Context, n int, f func(int) error) error {
+// forEach runs f(0)…f(n-1) concurrently, waits for all of them, and
+// returns the lowest-index error — a deterministic choice no matter
+// which task failed first in wall-clock time. The tasks hold no pool
+// slot: each evaluation takes one itself, only while it simulates. A
+// task that starts after ctx is cancelled returns ctx.Err() without
+// running f; a running one is never abandoned.
+func forEach(ctx context.Context, n int, f func(int) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	wg.Add(n)
 	for k := 0; k < n; k++ {
-		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			if err := p.DoContext(ctx, func() { errs[k] = f(k) }); err != nil {
-				errs[k] = err
+			if ctx != nil {
+				if errs[k] = ctx.Err(); errs[k] != nil {
+					return
+				}
 			}
+			errs[k] = f(k)
 		}(k)
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,12 @@ import (
 // suffix. Because Restore reproduces the dynamic state exactly (see
 // Snapshotter), the outcome is bit-for-bit the fresh-build outcome — the
 // equivalence tests assert this for both memory models.
+//
+// Each root has one memory, so evaluations at one resistance serialize
+// on the root's lock. Run takes that lock before a pool slot, and the
+// slot only to simulate (see Pool): a walk the tree serves completely
+// takes no slot, and an evaluation waiting for a busy root leaves the
+// slots to evaluations at other resistances.
 //
 // When the factory's memories do not implement Snapshotter, Run degrades
 // to plain fresh-build execution.
@@ -69,7 +76,9 @@ type replayNode struct {
 
 // replayRoot is the per-resistance tree: a live memory, its
 // post-power-up base state, and the node the memory currently sits at
-// (nil when unknown, forcing a restore before the next simulation).
+// (nil when unknown, forcing a restore before the next simulation). A
+// root is created empty and built (mem and base set) by the first Run
+// that locks it.
 type replayRoot struct {
 	mu   sync.Mutex
 	mem  Snapshotter
@@ -87,25 +96,41 @@ func NewReplayCache(factory Factory, open defect.Open, nets []string) *ReplayCac
 	}
 }
 
+// maxReplayPath bounds the protocol steps of one SOS that Run keeps on
+// its stack: setup plus a precharge and an access per operation.
+const maxReplayPath = 16
+
 // Run evaluates the SOS at (rdef, u) through the prefix tree. It is safe
 // for concurrent use; evaluations at different resistances proceed in
 // parallel, evaluations at the same resistance serialize on its root.
-func (rc *ReplayCache) Run(rdef float64, u float64, sos fp.SOS) (Outcome, error) {
-	root, err := rc.root(rdef)
-	if err != nil {
-		return Outcome{}, err
-	}
+// Run locks the root first (building its memory on first use, without
+// a slot), serves the longest cached prefix, and takes a slot of pool
+// (none when pool is nil) only to simulate the rest. A ctx cancelled by
+// the time the root is free ends the evaluation with ctx.Err().
+func (rc *ReplayCache) Run(ctx context.Context, pool *Pool, rdef float64, u float64, sos fp.SOS) (Outcome, error) {
+	root := rc.root(rdef)
 	if root == nil {
 		// Factory memories cannot snapshot; run plainly.
-		return RunSOS(rc.factory, rc.open, rdef, rc.nets, u, sos)
+		return runFresh(ctx, pool, rc.factory, rc.open, rdef, rc.nets, u, sos)
 	}
 	root.mu.Lock()
 	defer root.mu.Unlock()
-
-	cur, err := rc.walk(root, root.base, replayEdge{kind: 's', u: u, init: sos.Init})
-	if err != nil {
-		return Outcome{}, err
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return Outcome{}, err
+		}
 	}
+	if root.mem == nil {
+		if err := rc.build(root, rdef); err != nil {
+			return Outcome{}, err
+		}
+		if root.mem == nil {
+			return runFresh(ctx, pool, rc.factory, rc.open, rdef, rc.nets, u, sos)
+		}
+	}
+
+	var buf [maxReplayPath]replayEdge
+	path := append(buf[:0], replayEdge{kind: 's', u: u, init: sos.Init})
 	endsWithVictimRead := false
 	for i, op := range sos.Ops {
 		e := replayEdge{kind: 'w', data: op.Data}
@@ -115,21 +140,36 @@ func (rc *ReplayCache) Run(rdef float64, u float64, sos fp.SOS) (Outcome, error)
 		if op.Target == fp.TargetBitLine {
 			e.cell = 1
 		}
-		cur, err = rc.walk(root, cur, replayEdge{kind: 'i'})
-		if err == nil {
-			cur, err = rc.walk(root, cur, e)
-		}
-		if err != nil {
-			return Outcome{}, fmt.Errorf("analysis: op %d (%s): %w", i, op, err)
-		}
+		path = append(path, replayEdge{kind: 'i'}, e)
 		if e.kind == 'r' && e.cell == 0 {
 			endsWithVictimRead = i == len(sos.Ops)-1
 		}
 	}
 	if len(sos.Ops) == 0 {
-		cur, err = rc.walk(root, cur, replayEdge{kind: 'i'})
+		path = append(path, replayEdge{kind: 'i'})
+	}
+
+	cur, k := root.base, 0
+	for ; k < len(path); k++ {
+		next, ok := cur.children[path[k]]
+		if !ok {
+			break
+		}
+		cur = next
+	}
+	rc.replayed.Add(uint64(k))
+	if k < len(path) {
+		var err error
+		failed := k
+		if perr := pool.DoContext(ctx, func() { cur, failed, err = rc.simulate(root, cur, path, k) }); perr != nil {
+			return Outcome{}, perr
+		}
 		if err != nil {
-			return Outcome{}, fmt.Errorf("analysis: idle: %w", err)
+			if len(sos.Ops) == 0 {
+				return Outcome{}, fmt.Errorf("analysis: idle: %w", err)
+			}
+			i := (failed - 1) / 2 // path[2i+1] and path[2i+2] are op i's precharge and access
+			return Outcome{}, fmt.Errorf("analysis: op %d (%s): %w", i, sos.Ops[i], err)
 		}
 	}
 	out := Outcome{F: cur.f}
@@ -139,85 +179,93 @@ func (rc *ReplayCache) Run(rdef float64, u float64, sos fp.SOS) (Outcome, error)
 	return out, nil
 }
 
-// walk follows (or creates) the edge from node n. The root's lock must
-// be held.
-func (rc *ReplayCache) walk(root *replayRoot, n *replayNode, e replayEdge) (*replayNode, error) {
-	if next, ok := n.children[e]; ok {
-		rc.replayed.Add(1)
-		return next, nil
-	}
+// simulate runs path[k:] on the root's memory from node n, adding a
+// node per step, and returns the last node. On an error it returns the
+// index of the failing step. The root's lock and a pool slot must be
+// held.
+func (rc *ReplayCache) simulate(root *replayRoot, n *replayNode, path []replayEdge, k int) (*replayNode, int, error) {
 	mem := root.mem
 	if root.cur != n {
 		mem.Restore(n.snap)
 		root.cur = n
 	}
-	readVal := 0
-	switch e.kind {
-	case 's':
-		switch e.init {
-		case fp.Init0:
-			mem.ForceVictim(0)
-		case fp.Init1:
-			mem.ForceVictim(1)
+	for ; k < len(path); k++ {
+		e := path[k]
+		readVal := 0
+		var err error
+		switch e.kind {
+		case 's':
+			switch e.init {
+			case fp.Init0:
+				mem.ForceVictim(0)
+			case fp.Init1:
+				mem.ForceVictim(1)
+			}
+			mem.SetFloat(rc.nets, e.u)
+		case 'w':
+			err = mem.Write(e.cell, e.data)
+		case 'r':
+			readVal, err = mem.Read(e.cell)
+		case 'i':
+			err = mem.Idle()
 		}
-		mem.SetFloat(rc.nets, e.u)
-	case 'w':
-		if err := mem.Write(e.cell, e.data); err != nil {
-			root.cur = nil // memory state is no longer a tree node
-			return nil, err
-		}
-	case 'r':
-		got, err := mem.Read(e.cell)
 		if err != nil {
-			root.cur = nil
-			return nil, err
+			root.cur = nil // memory state is no longer a tree node
+			return nil, k, err
 		}
-		readVal = got
-	case 'i':
-		if err := mem.Idle(); err != nil {
-			root.cur = nil
-			return nil, err
+		next := &replayNode{snap: mem.Snapshot(), f: mem.VictimBit(), readVal: readVal}
+		if n.children == nil {
+			n.children = map[replayEdge]*replayNode{}
 		}
+		n.children[e] = next
+		root.cur = next
+		n = next
+		rc.simulated.Add(1)
 	}
-	next := &replayNode{snap: mem.Snapshot(), f: mem.VictimBit(), readVal: readVal}
-	if n.children == nil {
-		n.children = map[replayEdge]*replayNode{}
-	}
-	n.children[e] = next
-	root.cur = next
-	rc.simulated.Add(1)
-	return next, nil
+	return n, k, nil
 }
 
-// root returns the per-resistance tree root, building the backing memory
-// on first use. A nil root (with nil error) signals that the factory's
-// memories cannot snapshot.
-func (rc *ReplayCache) root(rdef float64) (*replayRoot, error) {
+// root returns the per-resistance root, creating an empty one on first
+// use. A nil root signals that the factory's memories cannot snapshot.
+func (rc *ReplayCache) root(rdef float64) *replayRoot {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.unsupported {
-		return nil, nil
+		return nil
 	}
-	if r, ok := rc.roots[rdef]; ok {
-		return r, nil
+	r, ok := rc.roots[rdef]
+	if !ok {
+		r = &replayRoot{}
+		rc.roots[rdef] = r
 	}
+	return r
+}
+
+// build makes the root's memory (factory and power-up) and its base
+// node, under the root's lock but outside the cache-wide mutex, so
+// roots at other resistances build and run meanwhile. A failed build
+// leaves the root empty for the next Run to retry. When the memory
+// cannot snapshot, build marks the cache unsupported and leaves the
+// root empty.
+func (rc *ReplayCache) build(r *replayRoot, rdef float64) error {
 	mem, err := rc.factory(rc.open, rdef)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	snap, ok := mem.(Snapshotter)
 	if !ok {
+		rc.mu.Lock()
 		rc.unsupported = true
+		rc.mu.Unlock()
 		if rel, isRel := mem.(Releaser); isRel {
 			rel.Release()
 		}
-		return nil, nil
+		return nil
 	}
-	r := &replayRoot{mem: snap}
+	r.mem = snap
 	r.base = &replayNode{snap: snap.Snapshot(), f: snap.VictimBit()}
 	r.cur = r.base
-	rc.roots[rdef] = r
-	return r, nil
+	return nil
 }
 
 // Stats reports how many protocol steps were simulated versus replayed

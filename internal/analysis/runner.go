@@ -6,6 +6,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -283,12 +284,24 @@ func runSOSOn(mem Memory, floatNets []string, u float64, sos fp.SOS) (Outcome, e
 }
 
 // evalSOS is the entry point used by the sweep and completion phases:
-// the replay tree when one is given, else a plain fresh-build run.
-func evalSOS(factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS, replay *ReplayCache) (Outcome, error) {
+// the replay tree when one is given, else a plain fresh-build run. The
+// evaluation takes a slot of pool (none when pool is nil) only while it
+// simulates.
+func evalSOS(ctx context.Context, pool *Pool, factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS, replay *ReplayCache) (Outcome, error) {
 	if replay != nil {
-		return replay.Run(rdef, u, sos)
+		return replay.Run(ctx, pool, rdef, u, sos)
 	}
-	return RunSOS(factory, open, rdef, nets, u, sos)
+	return runFresh(ctx, pool, factory, open, rdef, nets, u, sos)
+}
+
+// runFresh is RunSOS under a slot of pool.
+func runFresh(ctx context.Context, pool *Pool, factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS) (Outcome, error) {
+	var out Outcome
+	var err error
+	if perr := pool.DoContext(ctx, func() { out, err = RunSOS(factory, open, rdef, nets, u, sos) }); perr != nil {
+		return Outcome{}, perr
+	}
+	return out, err
 }
 
 // ClassifyOutcome compares an observed outcome against the SOS's

@@ -401,10 +401,10 @@ func (t *tracer) classify(batch []gridPt, counter *int) error {
 		return nil
 	}
 	*counter += len(work)
-	err := t.pool.ForEach(t.cfg.Ctx, len(work), func(k int) error {
+	err := forEach(t.cfg.Ctx, len(work), func(k int) error {
 		p := work[k]
 		rdef, u := t.cfg.RDefs[p.i], t.cfg.Us[p.j]
-		out, err := evalSOS(t.cfg.Factory, t.cfg.Open, rdef, t.cfg.Float.Nets, u, t.cfg.SOS, t.cfg.Replay)
+		out, err := evalSOS(t.cfg.Ctx, t.pool, t.cfg.Factory, t.cfg.Open, rdef, t.cfg.Float.Nets, u, t.cfg.SOS, t.cfg.Replay)
 		if err != nil {
 			return fmt.Errorf("analysis: point (%.3g Ω, %.3g V): %w", rdef, u, err)
 		}
