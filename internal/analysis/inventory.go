@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
@@ -96,15 +97,17 @@ const maxProbeRDefs = 4
 // at cfg.Parallelism regardless of unit count. Within a unit the SOSes
 // run in order (the first-FFM-wins dedup depends on it), backed by a
 // unit-scoped replay cache, which also serves the unit's completion
-// searches and is released when the unit finishes. Rows are assembled
-// in deterministic unit order, so the result is identical to the
-// sequential pipeline's.
+// searches and is released when the unit finishes. Each search starts
+// in its own goroutine as soon as its finding passes the dedup, so it
+// runs beside the unit's remaining sweeps. Rows are assembled in
+// deterministic unit order, and within a unit in finding order, so the
+// result is identical to the sequential pipeline's; so is the error
+// returned, the first in the sequential order of sweeps and searches.
 func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 	opens := cfg.Opens
 	if opens == nil {
 		opens = defect.SimulatedOpens()
 	}
-	soses := StaticSOSes()
 	progress := cfg.Progress
 	if progress == nil {
 		progress = func(string) {}
@@ -138,47 +141,7 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 		wg.Add(1)
 		go func(ui int, open defect.Open, group defect.FloatGroup) {
 			defer wg.Done()
-			replay := NewReplayCache(cfg.Factory, open, group.Nets)
-			defer replay.Close()
-			seen := map[fp.FFM]bool{}
-			for _, sos := range soses {
-				plane, err := RunSweep(cfg.Sweep, cfg.Trace, SweepConfig{
-					Factory: cfg.Factory, Open: open, Float: group, SOS: sos,
-					RDefs: cfg.RDefs, Us: cfg.Us,
-					Ctx: cfg.Ctx, Replay: replay, Pool: pool,
-				})
-				if err != nil {
-					unitErrs[ui] = fmt.Errorf("analysis: %s %s sweep %q: %w", open.Name(), group.Var, sos, err)
-					return
-				}
-				for _, finding := range IdentifyPartialFaults(plane) {
-					if seen[finding.FFM] {
-						continue
-					}
-					seen[finding.FFM] = true
-					report(fmt.Sprintf("%s / %s: partial %s via %q", open.Name(), group.Var, finding.FFM, sos))
-					probes := probeRDefs(finding.RDefWithPartial, maxProbeRDefs)
-					comp, err := SearchCompletion(CompletionConfig{
-						Factory: cfg.Factory, Open: open, Float: group,
-						Base:  finding.Example.Base(),
-						RDefs: probes, Us: cfg.Us,
-						Ctx: cfg.Ctx, Replay: replay, Pool: pool,
-					})
-					if err != nil {
-						unitErrs[ui] = fmt.Errorf("analysis: completing %s for %s: %w", finding.FFM, open.Name(), err)
-						return
-					}
-					unitRows[ui] = append(unitRows[ui], Row{
-						SimFFM:    finding.FFM,
-						ComFFM:    finding.FFM.Complement(),
-						Open:      open,
-						Float:     group.Var,
-						Possible:  comp.Possible,
-						Completed: comp.Completed,
-						Partial:   finding,
-					})
-				}
-			}
+			unitRows[ui], unitErrs[ui] = inventoryUnit(cfg, pool, open, group, report)
 		}(ui, un.open, un.group)
 	}
 	wg.Wait()
@@ -192,6 +155,85 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 		rows = append(rows, ur...)
 	}
 	sortRows(rows)
+	return rows, nil
+}
+
+// inventoryUnit runs one (open, floating group) unit of BuildInventory:
+// the plane loop in SOS order, and one completion search per new
+// finding, each started as soon as the finding passes the dedup. It
+// returns the rows in finding order once the last search returns.
+func inventoryUnit(cfg InventoryConfig, pool *Pool, open defect.Open, group defect.FloatGroup, report func(string)) ([]Row, error) {
+	replay := NewReplayCache(cfg.Factory, open, group.Nets)
+	defer replay.Close()
+	type search struct {
+		finding PartialFinding
+		comp    Completion
+		err     error
+	}
+	var (
+		searches []*search
+		wg       sync.WaitGroup
+		failed   atomic.Bool // a search failed: the sequential pipeline stops there
+		sweepErr error
+	)
+	seen := map[fp.FFM]bool{}
+	for _, sos := range StaticSOSes() {
+		if failed.Load() {
+			break
+		}
+		plane, err := RunSweep(cfg.Sweep, cfg.Trace, SweepConfig{
+			Factory: cfg.Factory, Open: open, Float: group, SOS: sos,
+			RDefs: cfg.RDefs, Us: cfg.Us,
+			Ctx: cfg.Ctx, Replay: replay, Pool: pool,
+		})
+		if err != nil {
+			sweepErr = fmt.Errorf("analysis: %s %s sweep %q: %w", open.Name(), group.Var, sos, err)
+			break
+		}
+		for _, finding := range IdentifyPartialFaults(plane) {
+			if seen[finding.FFM] {
+				continue
+			}
+			seen[finding.FFM] = true
+			report(fmt.Sprintf("%s / %s: partial %s via %q", open.Name(), group.Var, finding.FFM, sos))
+			s := &search{finding: finding}
+			searches = append(searches, s)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.comp, s.err = SearchCompletion(CompletionConfig{
+					Factory: cfg.Factory, Open: open, Float: group,
+					Base:  finding.Example.Base(),
+					RDefs: probeRDefs(finding.RDefWithPartial, maxProbeRDefs), Us: cfg.Us,
+					Ctx: cfg.Ctx, Replay: replay, Pool: pool,
+				})
+				if s.err != nil {
+					failed.Store(true)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	// Every search started before the sweep that failed, if one did, so
+	// the first failed search in start order precedes the sweep's error.
+	rows := make([]Row, 0, len(searches))
+	for _, s := range searches {
+		if s.err != nil {
+			return nil, fmt.Errorf("analysis: completing %s for %s: %w", s.finding.FFM, open.Name(), s.err)
+		}
+		rows = append(rows, Row{
+			SimFFM:    s.finding.FFM,
+			ComFFM:    s.finding.FFM.Complement(),
+			Open:      open,
+			Float:     group.Var,
+			Possible:  s.comp.Possible,
+			Completed: s.comp.Completed,
+			Partial:   s.finding,
+		})
+	}
+	if sweepErr != nil {
+		return nil, sweepErr
+	}
 	return rows, nil
 }
 
