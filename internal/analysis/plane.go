@@ -63,6 +63,23 @@ type SweepConfig struct {
 	Pool *Pool
 }
 
+// newPlane returns the plane of the sweep's grid with its Points rows
+// allocated.
+func newPlane(cfg SweepConfig) *Plane {
+	p := &Plane{
+		Open:  cfg.Open,
+		Float: cfg.Float,
+		SOS:   cfg.SOS,
+		RDefs: cfg.RDefs,
+		Us:    cfg.Us,
+	}
+	p.Points = make([][]Point, len(cfg.RDefs))
+	for i := range p.Points {
+		p.Points[i] = make([]Point, len(cfg.Us))
+	}
+	return p
+}
+
 // pointAt materializes the Point for one grid position from its raw
 // simulation outcome. The Outcome fully determines the classification,
 // so sweeps that agree on outcomes produce byte-identical Points through
@@ -79,10 +96,10 @@ func pointAt(sos fp.SOS, rdef, u float64, out Outcome) Point {
 
 // SweepPlane simulates every grid point: it is TracePlane at stride 1,
 // where every grid point is a seed, so the tracer simulates every point
-// and infers none. The points run in parallel under the pool, in one
-// row-major batch; failures park in per-point slots and the first one in
-// grid order is returned after every started point finishes, so a
-// failing point can never stall the sweep.
+// straight into the plane and infers none. The points run in parallel
+// under the pool, in one row-major batch; failures park in per-point
+// slots and the first one in grid order is returned after every started
+// point finishes, so a failing point can never stall the sweep.
 func SweepPlane(cfg SweepConfig) (*Plane, error) {
 	p, _, err := TracePlane(TraceConfig{SweepConfig: cfg, Stride: 1})
 	return p, err

@@ -163,13 +163,34 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 	if stride <= 0 {
 		stride = DefaultTraceStride
 	}
-	t := &tracer{
-		cfg: cfg.SweepConfig,
-		nR:  len(cfg.RDefs),
-		nU:  len(cfg.Us),
+	pool := cfg.Pool
+	if pool == nil {
+		pool = NewPool(0)
 	}
-	if t.pool = cfg.Pool; t.pool == nil {
-		t.pool = NewPool(0)
+	if stride == 1 {
+		// Every point is a seed and none is inferred: classify straight
+		// into the plane, without the tracer's bookkeeping.
+		p := newPlane(cfg.SweepConfig)
+		nU := len(cfg.Us)
+		err := forEach(cfg.Ctx, len(cfg.RDefs)*nU, func(k int) error {
+			i, j := k/nU, k%nU
+			out, err := evalPoint(&cfg.SweepConfig, pool, i, j)
+			if err != nil {
+				return err
+			}
+			p.Points[i][j] = pointAt(cfg.SOS, cfg.RDefs[i], cfg.Us[j], out)
+			return nil
+		})
+		if err != nil {
+			return nil, TraceStats{}, err
+		}
+		return p, TraceStats{Seeded: len(cfg.RDefs) * nU}, nil
+	}
+	t := &tracer{
+		cfg:  cfg.SweepConfig,
+		pool: pool,
+		nR:   len(cfg.RDefs),
+		nU:   len(cfg.Us),
 	}
 	t.out = make([][]Outcome, t.nR)
 	t.known = make([][]bool, t.nR)
@@ -193,9 +214,10 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 	}
 
 	// Initial cells span consecutive seed pairs; their edges are the
-	// initial bisection segments. When the seeds are the whole grid (at
-	// stride 1, the dense sweep) every cell is a 1×1 cell with a known
-	// perimeter, so none is built and the phases below do nothing.
+	// initial bisection segments. When the seeds are the whole grid (a
+	// grid of at most two points per axis) every cell is a 1×1 cell with
+	// a known perimeter, so none is built and the phases below do
+	// nothing.
 	var cells []traceCell
 	if t.stats.Seeded < t.nR*t.nU {
 		for a := 0; a < len(seedsR)-1 || (len(seedsR) == 1 && a == 0); a++ {
@@ -266,16 +288,8 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 		}
 	}
 
-	p := &Plane{
-		Open:  cfg.Open,
-		Float: cfg.Float,
-		SOS:   cfg.SOS,
-		RDefs: cfg.RDefs,
-		Us:    cfg.Us,
-	}
-	p.Points = make([][]Point, t.nR)
+	p := newPlane(cfg.SweepConfig)
 	for i := range p.Points {
-		p.Points[i] = make([]Point, t.nU)
 		for j := range p.Points[i] {
 			if !t.known[i][j] {
 				return nil, TraceStats{}, fmt.Errorf("analysis: trace left point (%d,%d) unresolved", i, j)
@@ -401,18 +415,26 @@ func (t *tracer) classify(batch []gridPt, counter *int) error {
 		return nil
 	}
 	*counter += len(work)
-	err := forEach(t.cfg.Ctx, len(work), func(k int) error {
+	return forEach(t.cfg.Ctx, len(work), func(k int) error {
 		p := work[k]
-		rdef, u := t.cfg.RDefs[p.i], t.cfg.Us[p.j]
-		out, err := evalSOS(t.cfg.Ctx, t.pool, t.cfg.Factory, t.cfg.Open, rdef, t.cfg.Float.Nets, u, t.cfg.SOS, t.cfg.Replay)
+		out, err := evalPoint(&t.cfg, t.pool, p.i, p.j)
 		if err != nil {
-			return fmt.Errorf("analysis: point (%.3g Ω, %.3g V): %w", rdef, u, err)
+			return err
 		}
 		t.out[p.i][p.j] = out
 		t.known[p.i][p.j] = true
 		return nil
 	})
-	return err
+}
+
+// evalPoint evaluates the sweep's SOS at grid point (i, j).
+func evalPoint(cfg *SweepConfig, pool *Pool, i, j int) (Outcome, error) {
+	rdef, u := cfg.RDefs[i], cfg.Us[j]
+	out, err := evalSOS(cfg.Ctx, pool, cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cfg.SOS, cfg.Replay)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("analysis: point (%.3g Ω, %.3g V): %w", rdef, u, err)
+	}
+	return out, nil
 }
 
 // bisect drives the segment worklist to its fixpoint: every segment
