@@ -161,7 +161,9 @@ func BuildInventory(cfg InventoryConfig) ([]Row, error) {
 // inventoryUnit runs one (open, floating group) unit of BuildInventory:
 // the plane loop in SOS order, and one completion search per new
 // finding, each started as soon as the finding passes the dedup. It
-// returns the rows in finding order once the last search returns.
+// returns the rows in finding order once the last search returns. A
+// failed search stops the plane loop before its next sweep; findings
+// the loop reported meanwhile stay reported.
 func inventoryUnit(cfg InventoryConfig, pool *Pool, open defect.Open, group defect.FloatGroup, report func(string)) ([]Row, error) {
 	replay := NewReplayCache(cfg.Factory, open, group.Nets)
 	defer replay.Close()

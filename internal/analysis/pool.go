@@ -9,9 +9,9 @@ import (
 // Pool is a counting semaphore bounding concurrent simulations across
 // the whole analysis pipeline. BuildInventory shares one pool between
 // its sweeps and completion searches so total concurrency stays bounded
-// regardless of how many units run at once. A slot is held only while
-// a memory simulates, never by coordinating goroutines, and never while
-// waiting for anything but the slot itself.
+// regardless of how many units run at once. A slot is held only by leaf
+// work, such as a memory simulating, never by coordinating goroutines,
+// and never while waiting for anything but the slot itself.
 //
 // The lock order is a replay root first, then a slot: ReplayCache.Run
 // locks the root of the evaluation's resistance, serves what its tree
