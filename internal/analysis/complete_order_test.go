@@ -131,10 +131,12 @@ func (m *scriptedMemory) VictimBit() int                 { return m.f }
 
 // TestSearchCompletionHintedVoltageFails: the first candidate, [w0BL],
 // passes at 0 and 1 V and is rejected at 2 V, so 2 V becomes the hint
-// and runs first for the second candidate, [w1BL], where it fails. If an
-// earlier voltage rejects [w1BL] the search goes on without an error, as
-// the in-order search does; if every earlier voltage passes, it returns
-// the error the in-order search returns.
+// and runs first for the second candidate, [w1BL]. Where [w1BL] fails at
+// 2 V, the search goes on without an error if an earlier voltage rejects
+// it, as the in-order search does, and returns the in-order search's
+// error if every earlier voltage passes. Where it passes at 2 V but 0 V
+// rejects it, it is rejected. In the cases without an error the third
+// candidate, [w1], completes the fault.
 func TestSearchCompletionHintedVoltageFails(t *testing.T) {
 	const (
 		firstCand  = "w0@1 "
@@ -142,12 +144,13 @@ func TestSearchCompletionHintedVoltageFails(t *testing.T) {
 		thirdCand  = "w1@0 "
 	)
 	for _, tc := range []struct {
-		name         string
-		secondAtZero bool // [w1BL] passes at 0 V
-		wantErr      bool
+		name    string
+		second  func(u float64) (pass, fail bool) // [w1BL]'s verdict
+		wantErr bool
 	}{
-		{name: "earlier voltage rejects", secondAtZero: false},
-		{name: "earlier voltages pass", secondAtZero: true, wantErr: true},
+		{name: "earlier voltage rejects", second: func(u float64) (bool, bool) { return u == 1, u == 2 }},
+		{name: "earlier voltages pass", second: func(u float64) (bool, bool) { return u != 2, u == 2 }, wantErr: true},
+		{name: "hinted voltage passes", second: func(u float64) (bool, bool) { return u != 0, false }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			verdict := func(u float64, ops string) (bool, bool) {
@@ -155,10 +158,7 @@ func TestSearchCompletionHintedVoltageFails(t *testing.T) {
 				case firstCand:
 					return u != 2, false
 				case secondCand:
-					if u == 2 {
-						return false, true
-					}
-					return u != 0 || tc.secondAtZero, false
+					return tc.second(u)
 				case thirdCand:
 					return true, false
 				}
