@@ -69,7 +69,38 @@ func denseOracle(a *Matrix) (*Workspace, error) {
 // alias solves in place (x and b the same slice).
 func checkMatchesDense(t *testing.T, ws *Workspace, a *Matrix, bs [][]float64, alias bool) {
 	t.Helper()
-	err := ws.Factorize(a)
+	checkFactorized(t, ws, a, ws.Factorize(a), bs, alias)
+}
+
+// assembly is one factorization through the assembled entry point:
+// SetBase(base, cands) when base is non-nil, then Assemble, then writes
+// (row-major position → value, each at a candidate, assigned so that a
+// −0 lands as −0), then FactorizeAssembled.
+type assembly struct {
+	base   *Matrix
+	cands  []int
+	writes map[int]float64
+}
+
+// checkAssembledMatchesDense runs one assembly on ws and holds it to the
+// dense oracle on the matrix it assembled.
+func checkAssembledMatchesDense(t *testing.T, ws *Workspace, s assembly, bs [][]float64, alias bool) {
+	t.Helper()
+	if s.base != nil {
+		ws.SetBase(s.base, s.cands)
+	}
+	m := ws.Assemble()
+	for p, v := range s.writes {
+		m.Data()[p] = v
+	}
+	a := m.Clone()
+	checkFactorized(t, ws, a, ws.FactorizeAssembled(), bs, alias)
+}
+
+// checkFactorized compares ws, which has just factorized a with error
+// err, and its solves for each b with the dense oracle.
+func checkFactorized(t *testing.T, ws *Workspace, a *Matrix, err error, bs [][]float64, alias bool) {
+	t.Helper()
 	oracle, want := denseOracle(a)
 	if err != want {
 		t.Fatalf("factorize err = %v, dense kernel %v\n%s", err, want, a)
@@ -107,10 +138,27 @@ func matrixOf(rows ...[]float64) *Matrix {
 
 // TestWorkspaceMatchesDense holds the pattern kernel to the dense kernel
 // on inputs built to hit each of its fallback conditions, plus pattern
-// growth and a repeated matrix on a shared workspace.
+// growth and a repeated matrix on a shared workspace, through Factorize
+// and through the assembled entry point.
 func TestWorkspaceMatchesDense(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	negZero := math.Copysign(0, -1)
+	// pos is the row-major position of (i, j) in a 3×3 matrix.
+	pos := func(i, j int) int { return i*3 + j }
+	// A DC base and its transient successor, which adds a capacitor's
+	// coupling between nodes 1 and 2; a nonlinear element stamps the
+	// top-left 2×2 block.
+	dc := matrixOf(
+		[]float64{2, -1, 0},
+		[]float64{-1, 2, 0},
+		[]float64{0, 0, 1},
+	)
+	tran := matrixOf(
+		[]float64{2, -1, 0},
+		[]float64{-1, 3, -1},
+		[]float64{0, -1, 2},
+	)
+	block := []int{pos(0, 0), pos(0, 1), pos(1, 0), pos(1, 1)}
 	b3 := [][]float64{{1, -2, 0.5}, {0, 0, 0}, {negZero, 1, 0}, {inf, 1, 0}, {nan, 0, 1}}
 	b2 := [][]float64{{1, -2}, {0, 0}, {negZero, 3}, {-inf, 1}}
 	tridiag := matrixOf(
@@ -120,11 +168,16 @@ func TestWorkspaceMatchesDense(t *testing.T) {
 	)
 	cases := []struct {
 		name string
-		seq  []*Matrix
-		bs   [][]float64
+		// seq are factorized with Factorize, then asm are assembled.
+		seq []*Matrix
+		asm []assembly
+		bs  [][]float64
 		// sparse: the pattern kernel must have solved every
 		// finite, −0-free right-hand side without a dense rerun.
 		sparse bool
+		// fallbacks and growths, when non-zero, are the dense reruns and
+		// pattern rebuilds the sequence must end with.
+		fallbacks, growths uint64
 	}{
 		{name: "no fallback", seq: []*Matrix{tridiag}, bs: b3[:2], sparse: true},
 		{name: "swap mid-elimination", seq: []*Matrix{matrixOf(
@@ -220,16 +273,56 @@ func TestWorkspaceMatchesDense(t *testing.T) {
 				[]float64{1, 3},
 			),
 		}, bs: b2},
+		{name: "assembled growth at a watched position", asm: []assembly{
+			// The base learns the tridiagonal pattern (growth 1); the
+			// first assembly writes inside it, the next two at a watched
+			// corner each (growths 2 and 3).
+			{base: tridiag, cands: []int{pos(1, 1), pos(0, 2), pos(2, 0)}, writes: map[int]float64{pos(1, 1): 5}},
+			{writes: map[int]float64{pos(1, 1): 5, pos(0, 2): 0.5}},
+			{writes: map[int]float64{pos(0, 2): 0.5, pos(2, 0): -0.25}},
+		}, bs: b3[:2], sparse: true, growths: 3},
+		{name: "assembled second base widens the pattern", asm: []assembly{
+			{base: dc, cands: block, writes: map[int]float64{pos(0, 0): 2.5, pos(0, 1): -1.5}},
+			{base: tran, cands: block, writes: map[int]float64{pos(0, 0): 2.5, pos(1, 0): -1.5}},
+			{writes: map[int]float64{pos(1, 1): 3.5}},
+		}, bs: b3[:2], sparse: true, growths: 2},
+		{name: "assembled -0 at a watched position", asm: []assembly{
+			{base: tridiag, cands: []int{pos(2, 0), pos(0, 2)}},
+			{writes: map[int]float64{pos(2, 0): negZero}},
+			{writes: map[int]float64{pos(2, 0): negZero, pos(0, 2): 1}},
+		}, bs: b3[:2], sparse: true, growths: 3},
+		{name: "assembled dense fallback then pattern", asm: []assembly{
+			// A subdiagonal entry larger than its pivot makes partial
+			// pivoting swap, so the first assembly runs densely; the
+			// next one, on the same base, runs on the pattern again.
+			{base: tridiag, cands: []int{pos(1, 0), pos(1, 1)}, writes: map[int]float64{pos(1, 0): 9}},
+			{writes: map[int]float64{pos(1, 1): 6}},
+		}, bs: b3[:2], fallbacks: 1, growths: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			n := 0
+			if len(tc.seq) > 0 {
+				n = tc.seq[0].Rows()
+			} else {
+				n = tc.asm[0].base.Rows()
+			}
 			for _, alias := range []bool{false, true} {
-				ws := NewWorkspace(tc.seq[0].Rows())
+				ws := NewWorkspace(n)
 				for _, a := range tc.seq {
 					checkMatchesDense(t, ws, a, tc.bs, alias)
 				}
+				for _, s := range tc.asm {
+					checkAssembledMatchesDense(t, ws, s, tc.bs, alias)
+				}
 				if tc.sparse && ws.DenseFallbacks() != 0 {
 					t.Errorf("alias=%v: %d dense fallbacks, want the pattern kernel throughout", alias, ws.DenseFallbacks())
+				}
+				if tc.fallbacks != 0 && ws.DenseFallbacks() != tc.fallbacks {
+					t.Errorf("alias=%v: %d dense fallbacks, want %d", alias, ws.DenseFallbacks(), tc.fallbacks)
+				}
+				if tc.growths != 0 && ws.PatternGrowths() != tc.growths {
+					t.Errorf("alias=%v: %d pattern growths, want %d", alias, ws.PatternGrowths(), tc.growths)
 				}
 			}
 		})
@@ -269,26 +362,59 @@ func (f *fuzzBytes) entry(diag bool) float64 {
 
 // FuzzWorkspaceMatchesDense draws sequences of 1–4 sparse matrices of
 // order ≤ 12 sharing one workspace, with 1–2 right-hand sides each, and
-// holds the workspace to the dense kernel bit for bit.
+// holds the workspace to the dense kernel bit for bit. Each matrix goes
+// through Factorize, or is split at random into a base and candidates
+// and assembled, or (once a base is installed) is a fresh draw of the
+// candidate entries assembled on that base, as a Newton iteration is.
 func FuzzWorkspaceMatchesDense(f *testing.F) {
 	f.Add([]byte{2, 1, 200, 9, 0, 0, 200, 5, 1, 0})
 	f.Add([]byte{5, 3, 200, 7, 129, 3, 200, 100, 0, 200, 1, 200, 8, 0, 255, 200, 3})
 	f.Add([]byte{11, 2, 200, 1, 200, 2, 0, 0, 200, 3, 130, 1, 200, 4})
+	f.Add([]byte{6, 3, 4, 200, 7, 129, 3, 200, 100, 0, 200, 1, 5, 200, 9, 200, 8, 0, 255, 200, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		n := 1 + int(in.next())%12
 		mats := 1 + int(in.next())%4
 		ws := NewWorkspace(n)
 		var a *Matrix
+		var cands []int // of the installed base; nil before SetBase
+		fresh := func(diag func(p int) bool) *Matrix {
+			a := NewMatrix(n, n)
+			for p := range a.data {
+				a.data[p] = in.entry(diag(p))
+			}
+			return a
+		}
+		isDiag := func(p int) bool { return p%(n+1) == 0 }
 		for m := 0; m < mats; m++ {
-			if a == nil || in.next()%4 != 0 {
-				// A fresh matrix; otherwise the previous one repeats.
-				a = NewMatrix(n, n)
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						a.Set(i, j, in.entry(i == j))
+			op := in.next()
+			var s *assembly
+			switch {
+			case op%4 == 1:
+				// A random split: the candidates are a pseudo-random
+				// subset of positions whose assembled values replace
+				// the base's.
+				a = fresh(isDiag)
+				rng := rand.New(rand.NewSource(int64(in.next())))
+				cands = cands[:0:0]
+				s = &assembly{base: fresh(isDiag), writes: map[int]float64{}}
+				for p, v := range a.data {
+					if rng.Intn(3) == 0 {
+						cands = append(cands, p)
+						s.writes[p] = v
+					} else {
+						s.base.data[p] = v
 					}
 				}
+				s.cands = cands
+			case op%4 == 2 && cands != nil:
+				s = &assembly{writes: map[int]float64{}}
+				for _, p := range cands {
+					s.writes[p] = in.entry(isDiag(p))
+				}
+			case a == nil || op%4 != 0:
+				// A fresh matrix; otherwise the previous one repeats.
+				a = fresh(isDiag)
 			}
 			bs := make([][]float64, 1+int(in.next())%2)
 			for r := range bs {
@@ -297,7 +423,12 @@ func FuzzWorkspaceMatchesDense(f *testing.F) {
 					bs[r][i] = in.entry(false)
 				}
 			}
-			checkMatchesDense(t, ws, a, bs, in.next()%2 == 0)
+			alias := in.next()%2 == 0
+			if s != nil {
+				checkAssembledMatchesDense(t, ws, *s, bs, alias)
+			} else {
+				checkMatchesDense(t, ws, a, bs, alias)
+			}
 		}
 	})
 }
