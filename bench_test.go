@@ -474,14 +474,25 @@ func BenchmarkTechnologySensitivity(b *testing.B) {
 
 // BenchmarkSpiceOperation measures one electrical write+read pair on the
 // healthy column — the substrate's unit cost. It also reports the LU
-// work: factorizations, and those that fell back to the dense kernel,
-// each per pair.
+// work per pair: factorizations, those that fell back to the dense
+// kernel, and rebuilds of the learned pattern (0 after the warm-up).
 func BenchmarkSpiceOperation(b *testing.B) {
 	col := dram.MustNewColumn(dram.Default())
 	if err := col.PowerUp(); err != nil {
 		b.Fatal(err)
 	}
-	f0, d0 := col.Engine().FactorizationCounts()
+	// A write and a read of each value warm the engine up: its LU
+	// pattern stops growing once every transistor on the path has
+	// conducted.
+	for bit := 0; bit < 2; bit++ {
+		if err := col.Write(0, bit); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := col.Read(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	f0, d0, g0 := col.Engine().FactorizationCounts()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -497,10 +508,11 @@ func BenchmarkSpiceOperation(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	f1, d1 := col.Engine().FactorizationCounts()
+	f1, d1, g1 := col.Engine().FactorizationCounts()
 	n := float64(b.N)
 	b.ReportMetric(float64(f1-f0)/n, "factorizations/op")
 	b.ReportMetric(float64(d1-d0)/n, "dense-fallbacks/op")
+	b.ReportMetric(float64(g1-g0)/n, "pattern-growths/op")
 }
 
 // BenchmarkBehavOperation measures the same pair on the analytical model.

@@ -34,16 +34,6 @@ func TestMatrixCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestMatrixCopyFrom(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 1, 7)
-	b := NewMatrix(2, 2)
-	b.CopyFrom(a)
-	if b.At(0, 1) != 7 {
-		t.Error("CopyFrom did not copy contents")
-	}
-}
-
 func TestMatrixMulVec(t *testing.T) {
 	m := NewMatrix(2, 3)
 	// [1 2 3; 4 5 6] · [1 1 1] = [6 15]
@@ -68,7 +58,6 @@ func TestMatrixPanics(t *testing.T) {
 		{"index out of range", func() { NewMatrix(2, 2).At(2, 0) }},
 		{"negative index", func() { NewMatrix(2, 2).Set(-1, 0, 1) }},
 		{"mulvec mismatch", func() { NewMatrix(2, 2).MulVec([]float64{1}) }},
-		{"copyfrom mismatch", func() { NewMatrix(2, 2).CopyFrom(NewMatrix(3, 3)) }},
 		{"factorize non-square", func() { NewWorkspace(2).Factorize(NewMatrix(2, 3)) }}, //nolint:errcheck
 	}
 	for _, tc := range cases {
