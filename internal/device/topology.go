@@ -45,3 +45,18 @@ func (m *MOSFET) Branches() []circuit.Branch {
 		{A: m.g, B: m.s, Kind: circuit.PathSense},
 	}
 }
+
+// nodeFootprint returns the positions rows × cols of node indices in
+// global x indexing, leaving out ground: the circuit.Footprinter
+// footprint of a stamp that writes node-to-node entries only.
+func nodeFootprint(rows, cols []int) [][2]int {
+	var out [][2]int
+	for _, r := range rows {
+		for _, c := range cols {
+			if r != 0 && c != 0 {
+				out = append(out, [2]int{r - 1, c - 1})
+			}
+		}
+	}
+	return out
+}
