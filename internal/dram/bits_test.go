@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/memtest/partialfaults/internal/numeric"
 )
 
 var updateBits = flag.Bool("update", false, "rewrite testdata/column_voltage_bits.golden from the current engine")
@@ -39,7 +41,7 @@ func columnBitsCases() []bitsCase {
 			})
 		}
 	}
-	return append(cases,
+	cases = append(cases,
 		bitsCase{
 			name: "open9/r=1e+07/u=4", site: SiteOpen9WL, ohms: 1e7,
 			nets: []string{NetWL0Gate}, u: 4.0,
@@ -50,6 +52,32 @@ func columnBitsCases() []bitsCase {
 			ops: []string{"w0", "r0", "w1"},
 		},
 	)
+	// Open 7 inside the sense amplifier, the other open the table1-spice
+	// benchmark runs: its floating output buffer, then its floating
+	// reference cell.
+	for _, r := range numeric.Logspace(1e4, 1e7, 3) {
+		for _, u := range []float64{0, 3.3} {
+			cases = append(cases, bitsCase{
+				name: fmt.Sprintf("open7/r=%g/u=%g", r, u),
+				site: SiteOpen7SA, ohms: r, nets: []string{NetOutBuf, NetIO}, u: u,
+				ops: []string{"w1", "r1", "w0", "r0"},
+			})
+		}
+	}
+	cases = append(cases, bitsCase{
+		name: "open7.ref/r=1e+06/u=3.3", site: SiteOpen7SA, ohms: 1e6,
+		nets: []string{NetRefStore}, u: 3.3,
+		ops: []string{"w0", "r0", "w1", "r1"},
+	})
+	// Open 1 inside the victim cell: its floating storage node.
+	for _, u := range []float64{0, 3.3} {
+		cases = append(cases, bitsCase{
+			name: fmt.Sprintf("open1/r=1e+06/u=%g", u),
+			site: SiteOpen1Cell, ohms: 1e6, nets: []string{NetCell0Store}, u: u,
+			ops: []string{"w1", "r1", "w0", "r0"},
+		})
+	}
+	return cases
 }
 
 // columnBits runs one case and writes one line per op: the op, the output
