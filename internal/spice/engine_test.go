@@ -310,6 +310,43 @@ func TestFailedStepRestoresClockExactly(t *testing.T) {
 	}
 }
 
+// TestNaNIterateDoesNotConverge drives a resistor divider from a grounded
+// DC source of NaN. Newton must not take the NaN iterate for a converged
+// one: OperatingPoint and Step both fail and leave the previous solution
+// and the clock as they were.
+func TestNaNIterateDoesNotConverge(t *testing.T) {
+	ckt := circuit.New()
+	src, mid := ckt.Node("src"), ckt.Node("mid")
+	ckt.MustAdd(device.NewVSource("V1", src, 0, device.DC(math.NaN())))
+	ckt.MustAdd(device.NewResistor("R1", src, mid, 1e3))
+	ckt.MustAdd(device.NewResistor("R2", mid, 0, 2e3))
+	ckt.Freeze()
+	e := MustNewEngine(ckt, DefaultOptions())
+	prev := make([]float64, ckt.Size())
+	prev[src-1], prev[mid-1] = 3.3, 2.2
+	e.RestoreState(prev, 0.1)
+	for _, solve := range []struct {
+		name string
+		run  func() error
+	}{
+		{"OperatingPoint", e.OperatingPoint},
+		{"Step", func() error { return e.Step(1e-9) }},
+	} {
+		if err := solve.run(); !errors.Is(err, ErrNoConvergence) {
+			t.Errorf("%s err = %v, want ErrNoConvergence", solve.name, err)
+		}
+		x, tm := e.State()
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(prev[i]) {
+				t.Errorf("%s: x[%d] = %v, want the previous %v", solve.name, i, x[i], prev[i])
+			}
+		}
+		if math.Float64bits(tm) != math.Float64bits(0.1) {
+			t.Errorf("%s: Time() = %v, want 0.1", solve.name, tm)
+		}
+	}
+}
+
 func TestVoltageUnknownNetPanics(t *testing.T) {
 	ckt, _ := buildDivider()
 	e := MustNewEngine(ckt, DefaultOptions())
