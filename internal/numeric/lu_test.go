@@ -115,8 +115,8 @@ func TestLUReuseMultipleRHS(t *testing.T) {
 		x := make([]float64, 5)
 		ws.Solve(b, x)
 		back := a.MulVec(x)
-		if MaxAbsDiff(back, b) > 1e-9 {
-			t.Errorf("trial %d: A·x differs from b by %g", trial, MaxAbsDiff(back, b))
+		if d := MaxAbsDiff(back, b); !(d <= 1e-9) {
+			t.Errorf("trial %d: A·x differs from b by %g", trial, d)
 		}
 	}
 }

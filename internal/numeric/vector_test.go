@@ -13,6 +13,19 @@ func TestMaxAbsDiff(t *testing.T) {
 	if d := MaxAbsDiff(nil, nil); d != 0 {
 		t.Errorf("MaxAbsDiff(nil,nil) = %g, want 0", d)
 	}
+	// A NaN difference anywhere, before or after the largest finite one,
+	// is the norm: a > comparison alone would skip it.
+	nan := math.NaN()
+	for _, c := range [][2][]float64{
+		{{nan, 1, 5}, {0, 1, 0}},
+		{{0, 1, 5}, {0, nan, 0}},
+		{{0, 1, 5}, {0, 1, nan}},
+		{{math.Inf(1), 1}, {math.Inf(1), 1}},
+	} {
+		if d := MaxAbsDiff(c[0], c[1]); !math.IsNaN(d) {
+			t.Errorf("MaxAbsDiff(%v, %v) = %g, want NaN", c[0], c[1], d)
+		}
+	}
 }
 
 func TestNormInf(t *testing.T) {

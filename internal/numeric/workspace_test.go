@@ -20,8 +20,8 @@ func TestWorkspaceReuse(t *testing.T) {
 		}
 		x := make([]float64, 6)
 		ws.Solve(b, x)
-		if MaxAbsDiff(a.MulVec(x), b) > 1e-9 {
-			t.Errorf("trial %d: residual too large", trial)
+		if d := MaxAbsDiff(a.MulVec(x), b); !(d <= 1e-9) {
+			t.Errorf("trial %d: residual %g too large", trial, d)
 		}
 	}
 }
