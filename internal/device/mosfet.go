@@ -127,8 +127,20 @@ func (m *MOSFET) bias(vD, vG, vS float64) (id, gm, gds, vgs, vds float64, dEff, 
 // Δi = gm·(Δvg − Δvs) + gds·(Δvd − Δvs) in REAL voltages (the two sign
 // factors cancel), so the conductance and VCCS are stamped unsigned and
 // only the companion constant carries the polarity.
+//
+// A device whose id, gm and gds are all zero (cut off) at finite vgs and
+// vds stamps nothing. Each of its matrix additions would be ±0; a write
+// into a pinned column would move ±0·PinnedX to the right-hand side,
+// which is ±0 because PinnedX equals the terminal's finite X there; and
+// its companion current sign·(0 − 0·vgs − 0·vds) is ±0. Under the
+// circuit.StampContext contract no entry is −0, so none of these
+// additions would change a bit. A terminal at ±Inf or NaN makes vgs or
+// vds non-finite, and the device then stamps in full.
 func (m *MOSFET) Stamp(ctx *circuit.StampContext) {
 	id, gm, gds, vgs, vds, d, s, sign := m.bias(ctx.V(m.d), ctx.V(m.g), ctx.V(m.s))
+	if id == 0 && gm == 0 && gds == 0 && vgs-vgs == 0 && vds-vds == 0 {
+		return
+	}
 	ctx.StampConductance(d, s, gds)
 	ctx.StampTransconductance(d, s, m.g, s, gm)
 	ieq := sign * (id - float64(gm*vgs) - float64(gds*vds))
