@@ -9,10 +9,11 @@ import (
 )
 
 // WatchAudit checks every Jacobian an engine assembles before the engine
-// factorizes it. It replays the Jacobian through two shadow workspaces
-// that see the engine's bases: one watches the engine's stamp candidates,
-// as the engine's own workspace does, and one watches every position,
-// the full scan the candidates replace.
+// factorizes it. It holds the nonlinear stamps' context to the
+// circuit.StampContext contract, and it replays the Jacobian through two
+// shadow workspaces that see the engine's bases: one watches the
+// engine's stamp candidates, as the engine's own workspace does, and one
+// watches every position, the full scan the candidates replace.
 type WatchAudit struct {
 	e             *Engine
 	watched, full *numeric.Workspace
@@ -58,16 +59,20 @@ type auditedElement struct {
 func (s auditedElement) Stamp(ctx *circuit.StampContext) {
 	s.Element.Stamp(ctx)
 	if s.a.Err == nil {
-		s.a.Err = s.a.check(ctx.A)
+		s.a.Err = s.a.check(ctx)
 	}
 }
 
-// check holds one assembled Jacobian to the audit's invariants: no
-// nonlinear stamp wrote outside the candidates, and the watched check
-// widens the pattern exactly when the full scan does.
-func (a *WatchAudit) check(asm *numeric.Matrix) error {
+// check holds one assembled Jacobian to the audit's invariants: the
+// stamps' context kept its contract, no nonlinear stamp wrote outside
+// the candidates, and the watched check widens the pattern exactly when
+// the full scan does.
+func (a *WatchAudit) check(ctx *circuit.StampContext) error {
 	e, nf := a.e, len(a.e.free)
-	base := e.aRedS.Data()
+	asm, base := ctx.A, e.aRedS.Data()
+	if err := a.contract(ctx); err != nil {
+		return err
+	}
 	if !sameBits(a.base, base) {
 		a.base = append(a.base[:0], base...)
 		gw, gf := a.watched.PatternGrowths(), a.full.PatternGrowths()
@@ -97,6 +102,33 @@ func (a *WatchAudit) check(asm *numeric.Matrix) error {
 	}
 	a.Factorizations++
 	a.Growths += dw
+	return nil
+}
+
+// contract checks what circuit.StampContext promises the nonlinear
+// stamps, on which a cut-off MOSFET's skipped stamp rests: neither the
+// base nor the right-hand side they start from holds a −0, and X equals
+// PinnedX at every pinned node.
+func (a *WatchAudit) contract(ctx *circuit.StampContext) error {
+	e, nf := a.e, len(a.e.free)
+	negZero := math.Float64bits(math.Copysign(0, -1))
+	for p, v := range e.aRedS.Data() {
+		if math.Float64bits(v) == negZero {
+			return fmt.Errorf("factorization %d: the base holds −0 at (%s, %s)",
+				a.Factorizations, a.unknown(p/nf), a.unknown(p%nf))
+		}
+	}
+	for fi, v := range e.bRedBase {
+		if math.Float64bits(v) == negZero {
+			return fmt.Errorf("factorization %d: the right-hand side holds −0 in row %s", a.Factorizations, a.unknown(fi))
+		}
+	}
+	for _, p := range e.pinned {
+		if x, px := ctx.X[p.node-1], ctx.PinnedX[p.node-1]; math.Float64bits(x) != math.Float64bits(px) {
+			return fmt.Errorf("factorization %d: X at pinned node %s is %v, PinnedX %v",
+				a.Factorizations, e.ckt.NodeName(p.node), x, px)
+		}
+	}
 	return nil
 }
 

@@ -13,9 +13,12 @@ import (
 // TestWatchedCheckMatchesFullScan writes and reads both values on both
 // cells of the DRAM column with every simulated open at three
 // resistances, with every short and bridge, and at every default stress
-// corner. At every factorization the engine's watched positions must
-// report pattern growth exactly when a full scan of the Jacobian does,
-// and no nonlinear stamp may write outside its footprint.
+// corner. At every factorization the nonlinear stamps' context must keep
+// the circuit.StampContext contract (no −0 in the base or the starting
+// right-hand side, X equal to PinnedX at pinned nodes), the engine's
+// watched positions must report pattern growth exactly when a full scan
+// of the Jacobian does, and no nonlinear stamp may write outside its
+// footprint.
 func TestWatchedCheckMatchesFullScan(t *testing.T) {
 	type column struct {
 		name string
