@@ -8,7 +8,7 @@
 // open — a well-defined, slowly leaking voltage, exactly the "floating
 // line" physics the partial-fault paper studies).
 //
-// Four stacked optimizations make repeated solves cheap without changing
+// Five stacked optimizations make repeated solves cheap without changing
 // a single bit of the result (see DESIGN.md, "performance layer"):
 //
 //  1. Grounded-source elimination. Sources wired node-to-ground
@@ -43,6 +43,16 @@
 //     reduced stamps write straight into the matrix storage, and the
 //     per-step fold of static couplings to pinned nodes skips the zero
 //     ones (exact while every pinned voltage is finite, as above).
+//  5. Cut-off transistors stamp nothing. A MOSFET whose drain current,
+//     gm and gds are all exactly zero at finite vgs and vds returns
+//     before stamping; on the Table 1 inputs two thirds of the MOSFET
+//     stamps are such. Each skipped addition would add ±0 to an entry
+//     that is not −0, or move ±0 times a finite pinned voltage to the
+//     right-hand side, and its companion current is ±0, so no bit
+//     changes. The engine keeps the circuit.StampContext contract this
+//     rests on: the base and the right-hand side start every entry at
+//     +0 and only add to it, and the iterate at a pinned node is its
+//     PinnedX.
 //
 // Every matrix and right-hand-side entry receives the same additions in
 // the same order as in the plain assembly, and every product that meets
