@@ -347,6 +347,43 @@ func TestNaNIterateDoesNotConverge(t *testing.T) {
 	}
 }
 
+// TestNaNGuessConverges: a NaN in the starting guess is not a NaN
+// system. The 3.3 V divider's free node starts at NaN; the first Newton
+// iterate solves the linear system to a finite voltage, so the first
+// delta (iterate minus guess) is NaN and the loop goes on, and the
+// second iterate converges. OperatingPoint must succeed after exactly
+// two factorizations with the bits of a solve from a zero guess, so the
+// loop may not stop at the first NaN delta.
+func TestNaNGuessConverges(t *testing.T) {
+	solve := func(guess float64) ([]float64, uint64) {
+		ckt, mid := buildDivider()
+		e := MustNewEngine(ckt, DefaultOptions())
+		i, ok := ckt.NodeIndex(mid)
+		if !ok {
+			t.Fatalf("no node %q", mid)
+		}
+		x, _ := e.State()
+		x[i-1] = guess
+		e.RestoreState(x, 0)
+		if err := e.OperatingPoint(); err != nil {
+			t.Fatalf("OperatingPoint from %v: %v", guess, err)
+		}
+		x, _ = e.State()
+		f, _, _ := e.FactorizationCounts()
+		return x, f
+	}
+	want, _ := solve(0)
+	got, f := solve(math.NaN())
+	if f != 2 {
+		t.Errorf("OperatingPoint from a NaN guess ran %d factorizations, want 2", f)
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Errorf("x[%d] = %v from a NaN guess, %v from zero", i, got[i], want[i])
+		}
+	}
+}
+
 func TestVoltageUnknownNetPanics(t *testing.T) {
 	ckt, _ := buildDivider()
 	e := MustNewEngine(ckt, DefaultOptions())
