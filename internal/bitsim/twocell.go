@@ -38,8 +38,8 @@ func compileTwoCell(entry march.TwoCellCatalogEntry) (tcSpec, error) {
 		// the lines; the catalog deliberately has no line-mediated CFst
 		// (see memsim/twocell.go), and the bit-plane engine does not
 		// model the combination rather than risk a silent divergence.
-		// Wrapping ErrEngineUnsupported lets harnesses fall back to the
-		// scalar oracle for just this entry instead of aborting.
+		// Wrapping ErrEngineUnsupported tells callers that this engine
+		// refuses the entry, rather than failing to evaluate it.
 		return tcSpec{}, fmt.Errorf("bitsim: line-mediated CFst (%s): %w", entry.Name, march.ErrEngineUnsupported)
 	}
 	return tcSpec{kind: c.Kind, trig: c.Trig, comp: c.Comp, p: entry.FP}, nil

@@ -91,8 +91,7 @@ type CoverageResult struct {
 	Detected  bool
 	Caught    int
 	Scenarios int
-	// Engine names the backend that evaluated the row — normally the
-	// requested one, but the scalar oracle when the requested backend
-	// reported the entry unsupported and the harness fell back.
+	// Engine names the backend that evaluated the row: the requested
+	// one, since an entry that backend cannot evaluate fails the matrix.
 	Engine string
 }

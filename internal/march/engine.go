@@ -6,10 +6,11 @@ import (
 )
 
 // ErrEngineUnsupported marks a (backend, fault entry) combination the
-// backend deliberately does not model. Engines wrap it so harnesses can
-// distinguish "this backend cannot evaluate this entry" (fall back to
-// the scalar oracle) from a real failure (abort). The bit-plane
-// engine's line-mediated CFst entries are the canonical case.
+// backend deliberately does not model, so that callers can tell "this
+// backend cannot evaluate this entry" from a failed evaluation. The
+// harnesses return it like any other engine error; no other backend
+// answers for the entry. The bit-plane engine's line-mediated CFst
+// entries, which no shipped catalog holds, are the canonical case.
 var ErrEngineUnsupported = errors.New("march: engine does not support this fault entry")
 
 // Detection is one (test, fault family, geometry) detection result
@@ -80,27 +81,21 @@ type TwoCellOffsetEngine interface {
 }
 
 // CoverageMatrixWith evaluates every test against every catalog entry
-// on a rows×cols array using the given backend. An entry the backend
-// reports as ErrEngineUnsupported is re-evaluated with the scalar
-// oracle instead of aborting the whole matrix; the row's Engine field
-// records which backend produced it.
+// on a rows×cols array using the given backend, which names every row's
+// Engine. The first entry the backend fails on, ErrEngineUnsupported
+// included, ends the matrix with that error.
 func CoverageMatrixWith(eng Engine, tests []Test, catalog []CatalogEntry, rows, cols int) ([]CoverageResult, error) {
 	var out []CoverageResult
 	for _, t := range tests {
 		for _, e := range catalog {
-			engine := eng.Name()
 			v, err := eng.Detects(t, rows, cols, e)
-			if errors.Is(err, ErrEngineUnsupported) {
-				engine = ScalarEngine{}.Name()
-				v, err = ScalarEngine{}.Detects(t, rows, cols, e)
-			}
 			if err != nil {
-				return nil, fmt.Errorf("%s: %s × %s: %w", engine, t.Name, e.Name, err)
+				return nil, fmt.Errorf("%s: %s × %s: %w", eng.Name(), t.Name, e.Name, err)
 			}
 			out = append(out, CoverageResult{
 				Test: t.Name, Fault: e.Name, Partial: e.Partial,
 				Detected: v.Detected, Caught: v.Caught, Scenarios: v.Scenarios,
-				Engine: engine,
+				Engine: eng.Name(),
 			})
 		}
 	}
@@ -110,40 +105,34 @@ func CoverageMatrixWith(eng Engine, tests []Test, catalog []CatalogEntry, rows, 
 // TwoCellCertificateOffsetsWith builds the two-cell certificate of one
 // test and geometry on the given backend (the static column is
 // backend-independent), over the aggressor offsets (aggressor = victim
-// + δ) or, when offsets is empty, all ordered pairs; offsets need a
-// TwoCellOffsetEngine. An entry the backend reports as
-// ErrEngineUnsupported (e.g. line-mediated CFst under the bit-plane
-// engine) falls back to the scalar oracle instead of aborting the
-// certificate; each row's Engine field records the backend that
-// evaluated it.
+// + δ) or, when offsets is empty, all ordered pairs. Offsets need a
+// TwoCellOffsetEngine; on any other engine they fail with
+// ErrEngineUnsupported. The first entry the backend fails on,
+// ErrEngineUnsupported included (e.g. line-mediated CFst under the
+// bit-plane engine), ends the certificate with that error.
 func TwoCellCertificateOffsetsWith(eng Engine, t Test, catalog []TwoCellCatalogEntry, rows, cols int, offsets []int) (TwoCellCertificate, error) {
 	cert := TwoCellCertificate{Test: t.Name, Rows: rows, Cols: cols, Offsets: offsets}
-	detect := func(eng Engine, e TwoCellCatalogEntry) (Detection, error) {
-		if len(offsets) == 0 {
-			return eng.DetectsTwoCell(t, rows, cols, e)
-		}
-		oe, ok := eng.(TwoCellOffsetEngine)
-		if !ok {
-			return Detection{}, fmt.Errorf("march: engine %s cannot restrict aggressor offsets: %w", eng.Name(), ErrEngineUnsupported)
-		}
-		return oe.DetectsTwoCellOffsets(t, rows, cols, e, offsets)
+	oe, hasOffsets := eng.(TwoCellOffsetEngine)
+	if len(offsets) > 0 && !hasOffsets {
+		return cert, fmt.Errorf("march: engine %s cannot restrict aggressor offsets: %w", eng.Name(), ErrEngineUnsupported)
 	}
 	for _, e := range catalog {
 		cannot, why := cannotCompleteTwoCell(t, e)
-		engine := eng.Name()
-		v, err := detect(eng, e)
-		if errors.Is(err, ErrEngineUnsupported) {
-			engine = ScalarEngine{}.Name()
-			v, err = detect(ScalarEngine{}, e)
+		var v Detection
+		var err error
+		if len(offsets) == 0 {
+			v, err = eng.DetectsTwoCell(t, rows, cols, e)
+		} else {
+			v, err = oe.DetectsTwoCellOffsets(t, rows, cols, e, offsets)
 		}
 		if err != nil {
-			return cert, fmt.Errorf("%s: %s × %s: %w", engine, t.Name, e.Name, err)
+			return cert, fmt.Errorf("%s: %s × %s: %w", eng.Name(), t.Name, e.Name, err)
 		}
 		cert.Entries = append(cert.Entries, TwoCellCertRow{
 			Entry: e.Name, Class: e.FP.Classify(), Partial: e.Partial,
 			ProvedMiss: cannot, Reason: why,
 			Detected: v.Detected, Caught: v.Caught, Scenarios: v.Scenarios,
-			Engine: engine,
+			Engine: eng.Name(),
 		})
 	}
 	return cert, nil

@@ -134,9 +134,9 @@ type TwoCellCertRow struct {
 	// (pair × order-assignment) scenarios.
 	Detected          bool
 	Caught, Scenarios int
-	// Engine names the backend that evaluated the row; it differs from
-	// the certificate's requested backend when the entry fell back to
-	// the scalar oracle (ErrEngineUnsupported).
+	// Engine names the backend that evaluated the row: the requested
+	// one, since an entry that backend cannot evaluate fails the
+	// certificate.
 	Engine string
 }
 
