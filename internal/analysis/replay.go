@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -50,16 +49,15 @@ import (
 // operation fails goes back to its resistance at no node, so the next
 // simulation on it restores first.
 //
-// When the factory's memories do not implement Snapshotter, Run degrades
-// to plain fresh-build execution.
+// The factory's memories must implement Snapshotter: Run fails at the
+// first one that does not, naming its type.
 type ReplayCache struct {
 	factory Factory
 	open    defect.Open
 	nets    []string
 
-	mu          sync.Mutex
-	roots       map[float64]*replayRoot
-	unsupported bool // factory memories are not Snapshotters
+	mu    sync.Mutex
+	roots map[float64]*replayRoot
 
 	simulated atomic.Uint64 // protocol steps actually simulated
 	replayed  atomic.Uint64 // protocol steps served from the tree
@@ -142,10 +140,6 @@ const maxReplayPath = 16
 // evaluation with ctx.Err().
 func (rc *ReplayCache) Run(ctx context.Context, pool *Pool, rdef float64, u float64, sos fp.SOS) (Outcome, error) {
 	root := rc.root(rdef)
-	if root == nil {
-		// Factory memories cannot snapshot; run plainly.
-		return runFresh(ctx, pool, rc.factory, rc.open, rdef, rc.nets, u, sos)
-	}
 	var buf [maxReplayPath]replayEdge
 	path := append(buf[:0], replayEdge{kind: 's', u: u, init: sos.Init})
 	endsWithVictimRead := false
@@ -167,9 +161,6 @@ func (rc *ReplayCache) Run(ctx context.Context, pool *Pool, rdef float64, u floa
 	}
 
 	sub, err := rc.subtree(ctx, root, rdef, path[0])
-	if errors.Is(err, errNoSnapshot) {
-		return runFresh(ctx, pool, rc.factory, rc.open, rdef, rc.nets, u, sos)
-	}
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -269,13 +260,10 @@ func (rc *ReplayCache) simulate(sub *replaySubtree, m *replayMemory, n *replayNo
 }
 
 // root returns the per-resistance root, creating an empty one on first
-// use. A nil root signals that the factory's memories cannot snapshot.
+// use.
 func (rc *ReplayCache) root(rdef float64) *replayRoot {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.unsupported {
-		return nil
-	}
 	r, ok := rc.roots[rdef]
 	if !ok {
 		r = &replayRoot{}
@@ -348,12 +336,8 @@ func (r *replayRoot) giveBack(m *replayMemory) {
 	r.leaseMu.Unlock()
 }
 
-// errNoSnapshot reports a factory memory that is not a Snapshotter.
-var errNoSnapshot = errors.New("analysis: replay memory cannot snapshot")
-
-// newMemory builds a memory at rdef (factory and power-up). When the
-// memory cannot snapshot, newMemory releases it, marks the cache
-// unsupported and returns errNoSnapshot.
+// newMemory builds a memory at rdef (factory and power-up). A memory
+// that cannot snapshot is released, and newMemory fails naming its type.
 func (rc *ReplayCache) newMemory(rdef float64) (*replayMemory, error) {
 	mem, err := rc.factory(rc.open, rdef)
 	if err != nil {
@@ -361,13 +345,10 @@ func (rc *ReplayCache) newMemory(rdef float64) (*replayMemory, error) {
 	}
 	snap, ok := mem.(Snapshotter)
 	if !ok {
-		rc.mu.Lock()
-		rc.unsupported = true
-		rc.mu.Unlock()
 		if rel, isRel := mem.(Releaser); isRel {
 			rel.Release()
 		}
-		return nil, errNoSnapshot
+		return nil, fmt.Errorf("analysis: replay memory %T does not implement Snapshotter", mem)
 	}
 	rc.memories.Add(1)
 	return &replayMemory{mem: snap}, nil

@@ -46,11 +46,14 @@ type Memory interface {
 	VictimBit() int
 }
 
-// Snapshotter is the optional Memory extension enabling the replay
-// cache: Snapshot captures the memory's full dynamic state as an opaque
-// value and Restore reinstates it exactly, so that simulation resumed
-// from a restored state is bit-for-bit the continuation of the original
-// run. Both the electrical and the analytical memories implement it.
+// Snapshotter is the Memory extension the replay cache requires:
+// Snapshot captures the memory's full dynamic state as an opaque value
+// and Restore reinstates it exactly, so that simulation resumed from a
+// restored state is bit-for-bit the continuation of the original run.
+// Both the electrical and the analytical memories implement it; a
+// factory whose memories do not can run only without a ReplayCache
+// (RunSOS, or a sweep or completion search given no Replay), and
+// BuildInventory, which always replays, fails on it.
 type Snapshotter interface {
 	Memory
 	// Snapshot returns an immutable opaque state handle.
@@ -284,18 +287,13 @@ func runSOSOn(mem Memory, floatNets []string, u float64, sos fp.SOS) (Outcome, e
 }
 
 // evalSOS is the entry point used by the sweep and completion phases:
-// the replay tree when one is given, else a plain fresh-build run. The
-// evaluation takes a slot of pool (none when pool is nil) only while it
-// simulates.
+// the replay tree when one is given, else RunSOS on a freshly built
+// memory. The evaluation takes a slot of pool (none when pool is nil)
+// only while it simulates.
 func evalSOS(ctx context.Context, pool *Pool, factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS, replay *ReplayCache) (Outcome, error) {
 	if replay != nil {
 		return replay.Run(ctx, pool, rdef, u, sos)
 	}
-	return runFresh(ctx, pool, factory, open, rdef, nets, u, sos)
-}
-
-// runFresh is RunSOS under a slot of pool.
-func runFresh(ctx context.Context, pool *Pool, factory Factory, open defect.Open, rdef float64, nets []string, u float64, sos fp.SOS) (Outcome, error) {
 	var out Outcome
 	var err error
 	if perr := pool.DoContext(ctx, func() { out, err = RunSOS(factory, open, rdef, nets, u, sos) }); perr != nil {
