@@ -95,11 +95,12 @@ func pointAt(sos fp.SOS, rdef, u float64, out Outcome) Point {
 }
 
 // SweepPlane simulates every grid point: it is TracePlane at stride 1,
-// where every grid point is a seed, so the tracer simulates every point
-// straight into the plane and infers none. The points run in parallel
-// under the pool, in one row-major batch; failures park in per-point
-// slots and the first one in grid order is returned after every started
-// point finishes, so a failing point can never stall the sweep.
+// where every grid point is a seed, so the tracer classifies the whole
+// grid as its seed batch, builds no cells or segments and infers
+// nothing. The points run in parallel under the pool, in one row-major
+// batch; failures park in per-point slots and the first one in grid
+// order is returned after every started point finishes, so a failing
+// point can never stall the sweep.
 func SweepPlane(cfg SweepConfig) (*Plane, error) {
 	p, _, err := TracePlane(TraceConfig{SweepConfig: cfg, Stride: 1})
 	return p, err

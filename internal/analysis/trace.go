@@ -167,25 +167,6 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 	if pool == nil {
 		pool = NewPool(0)
 	}
-	if stride == 1 {
-		// Every point is a seed and none is inferred: classify straight
-		// into the plane, without the tracer's bookkeeping.
-		p := newPlane(cfg.SweepConfig)
-		nU := len(cfg.Us)
-		err := forEach(cfg.Ctx, len(cfg.RDefs)*nU, func(k int) error {
-			i, j := k/nU, k%nU
-			out, err := evalPoint(&cfg.SweepConfig, pool, i, j)
-			if err != nil {
-				return err
-			}
-			p.Points[i][j] = pointAt(cfg.SOS, cfg.RDefs[i], cfg.Us[j], out)
-			return nil
-		})
-		if err != nil {
-			return nil, TraceStats{}, err
-		}
-		return p, TraceStats{Seeded: len(cfg.RDefs) * nU}, nil
-	}
 	t := &tracer{
 		cfg:  cfg.SweepConfig,
 		pool: pool,
@@ -194,9 +175,10 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 	}
 	t.out = make([][]Outcome, t.nR)
 	t.known = make([][]bool, t.nR)
+	outs, known := make([]Outcome, t.nR*t.nU), make([]bool, t.nR*t.nU)
 	for i := range t.out {
-		t.out[i] = make([]Outcome, t.nU)
-		t.known[i] = make([]bool, t.nU)
+		t.out[i], outs = outs[:t.nU:t.nU], outs[t.nU:]
+		t.known[i], known = known[:t.nU:t.nU], known[t.nU:]
 	}
 
 	seedsR := seedIndices(t.nR, stride)
@@ -214,10 +196,10 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 	}
 
 	// Initial cells span consecutive seed pairs; their edges are the
-	// initial bisection segments. When the seeds are the whole grid (a
-	// grid of at most two points per axis) every cell is a 1×1 cell with
-	// a known perimeter, so none is built and the phases below do
-	// nothing.
+	// initial bisection segments. When the seeds are the whole grid
+	// (stride 1, the dense sweep, or a grid of at most two points per
+	// axis) every cell is a 1×1 cell with a known perimeter, so none is
+	// built and the phases below do nothing.
 	var cells []traceCell
 	if t.stats.Seeded < t.nR*t.nU {
 		for a := 0; a < len(seedsR)-1 || (len(seedsR) == 1 && a == 0); a++ {
@@ -302,7 +284,7 @@ func TracePlane(cfg TraceConfig) (*Plane, TraceStats, error) {
 
 // seedIndices returns 0, stride, 2·stride, … plus the last index.
 func seedIndices(n, stride int) []int {
-	var out []int
+	out := make([]int, 0, (n-1)/stride+2)
 	for i := 0; i < n; i += stride {
 		out = append(out, i)
 	}
