@@ -30,21 +30,27 @@ type PartialFinding struct {
 // IdentifyPartialFaults applies the rule to a plane and returns one
 // finding per FFM that is partial somewhere. An FFM that, at every R_def
 // where it appears at all, covers the entire U axis is *not* partial
-// (it is already fully sensitized by the SOS).
+// (it is already fully sensitized by the SOS). Findings come in the
+// order their FFMs first turn partial: by R_def row, and within a row by
+// the FFM's first U.
 func IdentifyPartialFaults(p *Plane) []PartialFinding {
 	perFFM := map[fp.FFM]*PartialFinding{}
 	var order []fp.FFM
 	for i := range p.RDefs {
 		counts := map[fp.FFM]int{}
 		examples := map[fp.FFM]fp.FP{}
+		var rowOrder []fp.FFM // the row's FFMs by first U
 		for _, pt := range p.Points[i] {
 			if pt.Faulty && pt.FFM != fp.FFMUnknown {
+				if counts[pt.FFM] == 0 {
+					rowOrder = append(rowOrder, pt.FFM)
+				}
 				counts[pt.FFM]++
 				examples[pt.FFM] = pt.FP
 			}
 		}
-		for f, n := range counts {
-			if n == len(p.Us) {
+		for _, f := range rowOrder {
+			if counts[f] == len(p.Us) {
 				continue // full row: sensitized for every U at this R_def
 			}
 			pf := perFFM[f]
