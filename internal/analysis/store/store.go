@@ -83,9 +83,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(k Key) string {
 	return filepath.Join(s.dir, k.Digest()+".json")
 }
@@ -128,27 +125,6 @@ func (s *Store) Put(k Key, payload []byte) error {
 	}
 	s.count(func(st *Stats) { st.Puts++ })
 	return nil
-}
-
-// GetInto unmarshals the stored payload into v; ok reports presence.
-func (s *Store) GetInto(k Key, v any) (bool, error) {
-	buf, ok, err := s.Get(k)
-	if err != nil || !ok {
-		return false, err
-	}
-	if err := json.Unmarshal(buf, v); err != nil {
-		return false, fmt.Errorf("store: decode %s: %w", k.Digest(), err)
-	}
-	return true, nil
-}
-
-// PutValue marshals v and stores it under the key.
-func (s *Store) PutValue(k Key, v any) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("store: encode %s: %w", k.Digest(), err)
-	}
-	return s.Put(k, buf)
 }
 
 // Len counts stored result entries.

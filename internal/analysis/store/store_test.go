@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,13 +54,20 @@ func TestStoreRoundTrip(t *testing.T) {
 		N    int      `json:"n"`
 	}
 	want := payload{Rows: []string{"CFds", "TF0"}, N: 2}
-	if err := s.PutValue(k, want); err != nil {
+	buf, err := json.Marshal(want)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got payload
-	ok, err := s.GetInto(k, &got)
+	if err := s.Put(k, buf); err != nil {
+		t.Fatal(err)
+	}
+	stored, ok, err := s.Get(k)
 	if err != nil || !ok {
 		t.Fatalf("get after put: ok=%v err=%v", ok, err)
+	}
+	var got payload
+	if err := json.Unmarshal(stored, &got); err != nil {
+		t.Fatal(err)
 	}
 	if got.N != want.N || len(got.Rows) != 2 || got.Rows[0] != "CFds" {
 		t.Fatalf("round trip mismatch: %+v", got)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/memtest/partialfaults/internal/analysis"
-	"github.com/memtest/partialfaults/internal/lint"
 	"github.com/memtest/partialfaults/internal/march"
 	"github.com/memtest/partialfaults/internal/netlint"
 )
@@ -256,28 +255,6 @@ func ToMergePredictionJSON(p netlint.MergePrediction) MergePredictionJSON {
 			jw.Volts[ph] = []*float64{jsonVolt(v[0]), jsonVolt(v[1])}
 		}
 		out.Weak = append(out.Weak, jw)
-	}
-	return out
-}
-
-// FindingJSON is one static-analysis finding.
-type FindingJSON struct {
-	Layer    string `json:"layer"`
-	Rule     string `json:"rule"`
-	Severity string `json:"severity"`
-	Subject  string `json:"subject"`
-	Message  string `json:"message"`
-}
-
-// ToFindingsJSON converts findings at or above minSev to JSON form.
-func ToFindingsJSON(fs lint.Findings, minSev lint.Severity) []FindingJSON {
-	shown := fs.AtLeast(minSev)
-	out := make([]FindingJSON, 0, len(shown))
-	for _, f := range shown {
-		out = append(out, FindingJSON{
-			Layer: f.Layer, Rule: f.Rule, Severity: f.Severity.String(),
-			Subject: f.Subject, Message: f.Message,
-		})
 	}
 	return out
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/fp"
-	"github.com/memtest/partialfaults/internal/lint"
 	"github.com/memtest/partialfaults/internal/march"
 	"github.com/memtest/partialfaults/internal/netlint"
 )
@@ -163,32 +162,5 @@ func TestWriteMergePredictionJSON(t *testing.T) {
 	}
 	if strings.Contains(string(buf), "NaN") {
 		t.Fatal("NaN leaked into the JSON")
-	}
-}
-
-func TestWriteFindingsJSON(t *testing.T) {
-	fs := lint.Findings{
-		{Layer: "netlist", Rule: "floating-net", Severity: lint.Error, Subject: "BT", Message: "floats in sense0"},
-		{Layer: "march", Rule: "redundant-op", Severity: lint.Info, Subject: "MATS+", Message: "detail"},
-	}
-	buf, err := json.Marshal(ToFindingsJSON(fs, lint.Warning))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []FindingJSON
-	if err := json.Unmarshal(buf, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Severity != "error" || got[0].Rule != "floating-net" {
-		t.Fatalf("filtered findings = %+v", got)
-	}
-	if buf, err = json.Marshal(ToFindingsJSON(fs, lint.Info)); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(buf, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("unfiltered findings = %+v", got)
 	}
 }
