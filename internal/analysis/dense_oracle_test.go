@@ -29,7 +29,8 @@ func DenseSweep(cfg SweepConfig) (*Plane, error) {
 		pool = NewPool(0)
 	}
 	nU := len(cfg.Us)
-	err := forEach(cfg.Ctx, len(cfg.RDefs)*nU, func(k int) error {
+	n := len(cfg.RDefs) * nU
+	err := ForEach(cfg.Ctx, n, n, func(k int) error {
 		i, j := k/nU, k%nU
 		rdef, u := cfg.RDefs[i], cfg.Us[j]
 		out, err := evalSOS(cfg.Ctx, pool, cfg.Factory, cfg.Open, rdef, cfg.Float.Nets, u, cfg.SOS, cfg.Replay)

@@ -373,12 +373,13 @@ type tracer struct {
 	stats  TraceStats
 }
 
-// classify simulates every not-yet-known point of the batch in
-// parallel through the shared evaluation pipeline (replay, pool),
-// crediting the given counter. The batch is sorted into grid order and
-// deduplicated in place, so batch membership, stats and the error
-// returned on failure (first in grid order) are all independent of
-// goroutine scheduling.
+// classify simulates every not-yet-known point of the batch through
+// the shared evaluation pipeline (replay, pool), crediting the given
+// counter. The points run on as many workers as the pool has slots,
+// which take them in grid order: more would only wait for a slot. The
+// batch is sorted into grid order and deduplicated in place, so batch
+// membership, stats and the error returned on failure (first in grid
+// order) are all independent of goroutine scheduling.
 func (t *tracer) classify(batch []gridPt, counter *int) error {
 	slices.SortFunc(batch, func(a, b gridPt) int {
 		if a.i != b.i {
@@ -397,7 +398,7 @@ func (t *tracer) classify(batch []gridPt, counter *int) error {
 		return nil
 	}
 	*counter += len(work)
-	return forEach(t.cfg.Ctx, len(work), func(k int) error {
+	return ForEach(t.cfg.Ctx, len(work), t.pool.Slots(), func(k int) error {
 		p := work[k]
 		out, err := evalPoint(&t.cfg, t.pool, p.i, p.j)
 		if err != nil {
