@@ -29,11 +29,12 @@
 // proof trace or witness behind each verdict.
 //
 // -stress sweeps the full defect catalog at every operating corner
-// (-corners "low-vdd;hot" or name:key=val,... derivations; default: the
-// built-in corner set) and prints the per-corner Table 1 inventories,
-// the corner deltas against nominal, and the worst-corner coverage
-// certificate, with per-corner coverage simulated on the bit-plane
-// engine. -engine and the grid flags apply.
+// (-corners "low-vdd;hot" or name:key=val,... derivations, at most 16
+// corners with nominal; default: the built-in corner set) and prints
+// the per-corner Table 1 inventories, the corner deltas against
+// nominal, and the worst-corner coverage certificate, with per-corner
+// coverage simulated on the bit-plane engine. -engine and the grid
+// flags apply.
 package main
 
 import (

@@ -10,7 +10,9 @@
 //
 // March requests run on the bit-plane engine ("engine"/"march_engine"
 // take only "bitsim"); rows and cols take 1 to 65 536, a two-cell
-// certificate at most 8 190 offset passes, a batch at most 64 requests.
+// certificate at most 8 190 offset passes, a stress request at most 16
+// corners (nominal included), a batch at most 64 requests. A repeated
+// open ID counts once.
 //
 // Usage:
 //
