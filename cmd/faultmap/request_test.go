@@ -38,7 +38,7 @@ func key(t *testing.T, env *request.Env, q keyed, body string) store.Key {
 // of the matching HTTP body — so the CLI and pfserve compute and cache
 // one result.
 func TestFlagsMatchServiceRequests(t *testing.T) {
-	env, err := request.NewEnv(nil, nil, 1)
+	env, err := request.NewEnv(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// kind; they call the library on the engine the requests run on.
 	eng := bitsim.New()
 	if o.twoCell {
-		env, err := request.NewEnv(nil, nil, 0)
+		env, err := request.NewEnv(0)
 		if err != nil {
 			return fail("%v", err)
 		}

@@ -13,7 +13,7 @@ import (
 // builds from its flags normalizes to the store key of the matching
 // /v1/twocell body.
 func TestTwoCellFlagsMatchServiceRequest(t *testing.T) {
-	env, err := request.NewEnv(nil, nil, 1)
+	env, err := request.NewEnv(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 	}
-	env, err := request.NewEnv(nil, nil, 0)
+	env, err := request.NewEnv(0)
 	if err != nil {
 		return fail("%v", err)
 	}

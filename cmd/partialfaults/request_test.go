@@ -12,7 +12,7 @@ import (
 // builds from its flags normalizes to the store key of the matching
 // /v1/inventory body.
 func TestInventoryFlagsMatchServiceRequest(t *testing.T) {
-	env, err := request.NewEnv(nil, nil, 1)
+	env, err := request.NewEnv(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func NewColumn(tech Technology) (*Column, error) {
 		return nil, fmt.Errorf("dram: building column netlist: %w", c.buildErr)
 	}
 	c.ckt.Freeze()
-	eng, err := spice.NewEngine(c.ckt, spice.DefaultOptions())
+	eng, err := spice.NewEngine(c.ckt)
 	if err != nil {
 		return nil, fmt.Errorf("dram: building column engine: %w", err)
 	}

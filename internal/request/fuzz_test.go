@@ -24,7 +24,7 @@ func FuzzNormalize(f *testing.F) {
 	for _, c := range rejectedBodies {
 		f.Add(uint8(slices.Index(kinds, c.kind)), c.body)
 	}
-	env, err := NewEnv(nil, nil, 1)
+	env, err := NewEnv(1)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -312,7 +312,7 @@ func (q *Predict) Key(env *Env) store.Key {
 
 // Run analyzes the column netlist.
 func (q *Predict) Run(_ context.Context, env *Env) (Prediction, error) {
-	col, err := dram.NewColumn(env.Tech)
+	col, err := dram.NewColumn(dram.Default())
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -379,7 +379,7 @@ func (q *Stress) Normalize(env *Env) (err error) {
 	if err := marchWalk(&q.MarchEngine, &q.Rows, &q.Cols); err != nil {
 		return err
 	}
-	if q.corners, q.Corners, err = corners(q.Corners, env.Tech); err != nil {
+	if q.corners, q.Corners, err = corners(q.Corners); err != nil {
 		return err
 	}
 	q.tests, err = Tests(q.Tests)
@@ -391,9 +391,9 @@ func (q *Stress) Normalize(env *Env) (err error) {
 const maxCorners = 16
 
 // corners resolves a corner list — the built-in set when empty, nominal
-// ensured, at most maxCorners, every corner derivable from tech — and
-// renders it canonically.
-func corners(spec string, tech dram.Technology) ([]stress.Spec, string, error) {
+// ensured, at most maxCorners, then stress.ResolveCorners — and renders
+// it canonically.
+func corners(spec string) ([]stress.Spec, string, error) {
 	cs := stress.DefaultCorners()
 	if spec != "" {
 		var err error
@@ -405,11 +405,12 @@ func corners(spec string, tech dram.Technology) ([]stress.Spec, string, error) {
 	if len(cs) > maxCorners {
 		return nil, "", badRequest("a stress request takes at most %d corners, nominal included, not %d", maxCorners, len(cs))
 	}
+	cs, err := stress.ResolveCorners(cs)
+	if err != nil {
+		return nil, "", badRequest("%v", err)
+	}
 	rendered := make([]string, len(cs))
 	for i, c := range cs {
-		if _, err := c.Derive(tech); err != nil {
-			return nil, "", badRequest("%v", err)
-		}
 		rendered[i] = c.String()
 	}
 	return cs, strings.Join(rendered, ";"), nil
@@ -428,10 +429,8 @@ func (q *Stress) Run(ctx context.Context, env *Env) (*stress.Result, error) {
 	return stress.Analyze(stress.Config{
 		Corners: q.corners,
 		Engine:  q.Engine,
-		Params:  env.Params, Tech: env.Tech,
-		MarchEngine: bitPlane,
-		Opens:       q.opens,
-		RDefs:       q.RDefs, Us: q.Us,
+		Opens:   q.opens,
+		RDefs:   q.RDefs, Us: q.Us,
 		Tests: q.tests,
 		Rows:  q.Rows, Cols: q.Cols,
 		Pool:  env.Pool,

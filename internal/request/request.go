@@ -23,12 +23,11 @@ import (
 	"slices"
 
 	"github.com/memtest/partialfaults/internal/analysis"
-	"github.com/memtest/partialfaults/internal/behav"
 	"github.com/memtest/partialfaults/internal/bitsim"
 	"github.com/memtest/partialfaults/internal/defect"
-	"github.com/memtest/partialfaults/internal/dram"
 	"github.com/memtest/partialfaults/internal/march"
 	"github.com/memtest/partialfaults/internal/numeric"
+	"github.com/memtest/partialfaults/internal/stress"
 )
 
 // Inventory engine names: each picks a simulation model.
@@ -47,15 +46,13 @@ func badRequest(format string, args ...any) error {
 	return BadRequest(fmt.Sprintf(format, args...))
 }
 
-// Env is what every request runs over: the model parameters and their
-// fingerprints, the catalog fingerprint, and the shared pool and trace
-// counters.
+// Env is what every request runs over: the model fingerprints, the
+// catalog fingerprint, and the shared pool and trace counters. Every
+// model is derived from dram.Default() by stress.NewModel.
 type Env struct {
-	Params behav.Params
-	Tech   dram.Technology
-	// BehavModel and SpiceModel fingerprint the two inventory engines
-	// over Params and Tech; Catalog fingerprints every fault/defect
-	// catalog a request can range over.
+	// BehavModel and SpiceModel fingerprint the two inventory engines'
+	// nominal models, cached for the store-hit path; Catalog
+	// fingerprints every fault/defect catalog a request can range over.
 	BehavModel analysis.Fingerprint
 	SpiceModel analysis.Fingerprint
 	Catalog    string
@@ -67,31 +64,24 @@ type Env struct {
 	Progress func(string)
 }
 
-// NewEnv builds an Env. A nil params means behav.DefaultParams and a nil
-// tech means dram.Default; a given tech also becomes the analytical
-// model's technology. parallelism bounds the pool (0 means GOMAXPROCS).
-func NewEnv(params *behav.Params, tech *dram.Technology, parallelism int) (*Env, error) {
-	env := &Env{
-		Params: behav.DefaultParams(),
-		Tech:   dram.Default(),
-		Pool:   analysis.NewPool(parallelism),
-		Trace:  &analysis.TraceCounters{},
-	}
-	if params != nil {
-		env.Params = *params
-	}
-	if tech != nil {
-		env.Tech = *tech
-		env.Params.Tech = *tech
-	}
-	env.BehavModel = behav.Fingerprint(env.Params)
-	spice, err := analysis.SpiceFingerprint(env.Tech)
+// NewEnv builds an Env whose pool has parallelism slots (0 means
+// GOMAXPROCS).
+func NewEnv(parallelism int) (*Env, error) {
+	behavModel, err := stress.NewModel(engineBehav, stress.Nominal())
 	if err != nil {
 		return nil, fmt.Errorf("request: %w", err)
 	}
-	env.SpiceModel = spice
-	env.Catalog = catalogFingerprint()
-	return env, nil
+	spiceModel, err := stress.NewModel(engineSpice, stress.Nominal())
+	if err != nil {
+		return nil, fmt.Errorf("request: %w", err)
+	}
+	return &Env{
+		BehavModel: behavModel.Fingerprint,
+		SpiceModel: spiceModel.Fingerprint,
+		Catalog:    catalogFingerprint(),
+		Pool:       analysis.NewPool(parallelism),
+		Trace:      &analysis.TraceCounters{},
+	}, nil
 }
 
 // catalogFingerprint digests every fault/defect catalog a request
@@ -136,16 +126,14 @@ func (e *Env) model(engine string) (analysis.Fingerprint, error) {
 }
 
 // Factory resolves an inventory engine name ("" or "behav" for the
-// analytical model, "spice" for the pooled transient column) to its
-// Factory.
+// analytical model, "spice" for the pooled transient column) to a new
+// Factory of its nominal model, so no column pool outlives its request.
 func (e *Env) Factory(engine string) (analysis.Factory, error) {
 	if _, err := e.model(engine); err != nil {
 		return nil, err
 	}
-	if engine == engineSpice {
-		return analysis.NewPooledSpiceFactory(e.Tech), nil
-	}
-	return behav.NewFactory(e.Params), nil
+	m, err := stress.NewModel(cmp.Or(engine, engineBehav), stress.Nominal())
+	return m.Factory, err
 }
 
 // bitPlane is the one march engine every request runs on. It holds no

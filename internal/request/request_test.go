@@ -19,7 +19,7 @@ import (
 
 func testEnv(t *testing.T) *Env {
 	t.Helper()
-	env, err := NewEnv(nil, nil, 1)
+	env, err := NewEnv(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +257,8 @@ var rejectedBodies = []struct{ kind, body string }{
 	{"stress", `{"engine":"behav","march_engine":"memsim","corners":"low-vdd;hot;cold;weak-precharge;high-vdd","sweep":"dense","rows":4,"cols":2}`},
 	{"stress", `{"opens":[4],"rdefs":[1e4],"us":[0],"rows":2147483648,"cols":2147483648}`},
 	{"stress", `{"opens":[4],"rdefs":[1e4],"us":[0],"corners":"` + cornerList(16) + `"}`},
+	{"stress", `{"corners":"a:vdd=0.95;b:vdd=0.95"}`},
+	{"stress", `{"corners":"nominal;twin:vdd=1"}`},
 }
 
 // cornerList renders n derived corners c1…cn, none of them nominal, as
@@ -403,7 +405,6 @@ func TestDefaultBodiesMatchScalarOracle(t *testing.T) {
 	}
 	want, err := stress.Analyze(stress.Config{
 		Corners: q.corners, Engine: q.Engine,
-		Params: env.Params, Tech: env.Tech,
 		MarchEngine: scalar,
 		Opens:       q.opens, RDefs: q.RDefs, Us: q.Us,
 		Tests: q.tests, Rows: q.Rows, Cols: q.Cols,

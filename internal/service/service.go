@@ -28,8 +28,6 @@ import (
 
 	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/analysis/store"
-	"github.com/memtest/partialfaults/internal/behav"
-	"github.com/memtest/partialfaults/internal/dram"
 	"github.com/memtest/partialfaults/internal/report"
 	"github.com/memtest/partialfaults/internal/request"
 	"github.com/memtest/partialfaults/internal/stress"
@@ -51,10 +49,6 @@ type Config struct {
 	// Parallelism bounds concurrent simulations across ALL requests;
 	// 0 means GOMAXPROCS.
 	Parallelism int
-	// Params tunes the analytical model; nil means behav.DefaultParams.
-	Params *behav.Params
-	// Tech selects the electrical technology; nil means dram.Default.
-	Tech *dram.Technology
 }
 
 // Server is the analysis service. It is an http.Handler; all state is
@@ -84,7 +78,7 @@ type serveFunc func(ctx context.Context, body io.Reader) (payload []byte, fromSt
 // New builds a Server, opening (or creating) the persistent store when
 // configured.
 func New(cfg Config) (*Server, error) {
-	env, err := request.NewEnv(cfg.Params, cfg.Tech, cfg.Parallelism)
+	env, err := request.NewEnv(cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}

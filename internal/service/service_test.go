@@ -14,7 +14,6 @@ import (
 
 	"github.com/memtest/partialfaults/internal/behav"
 	"github.com/memtest/partialfaults/internal/defect"
-	"github.com/memtest/partialfaults/internal/dram"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -157,25 +156,6 @@ func TestTracedSweepKeyedApart(t *testing.T) {
 
 	if code, buf := post(t, s2, "/v1/inventory", `{"sweep":"nope"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad sweep mode: status %d: %s", code, buf)
-	}
-}
-
-// TestStoreInvalidationOnTechnology pins the cache-identity bugfix at
-// the service layer: the same request against a different technology
-// must not hit entries written by the default one.
-func TestStoreInvalidationOnTechnology(t *testing.T) {
-	dir := t.TempDir()
-	s1 := newTestServer(t, Config{StoreDir: dir, Parallelism: 2})
-	if env := postEnvelope(t, s1, "/v1/inventory", smallInventory); env.Cached {
-		t.Fatal("first request cached")
-	}
-	s1.Close()
-
-	tech := dram.Default()
-	tech.VDD *= 1.1
-	s2 := newTestServer(t, Config{StoreDir: dir, Parallelism: 2, Tech: &tech})
-	if env := postEnvelope(t, s2, "/v1/inventory", smallInventory); env.Cached {
-		t.Fatal("changed technology still hit the default-technology store entry")
 	}
 }
 
@@ -535,6 +515,21 @@ func TestStressBadRequests(t *testing.T) {
 		code, buf := post(t, s, "/v1/stress", c.body)
 		if code != http.StatusBadRequest {
 			t.Errorf("/v1/stress %s: status %d (%s), want 400", c.body, code, buf)
+		}
+	}
+}
+
+// TestStressAliasedCornersRejected: a corner list whose corners derive
+// one technology is a client error under both engines, refused at
+// normalization like every other invalid corner list.
+func TestStressAliasedCornersRejected(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, engine := range []string{"behav", "spice"} {
+		for _, corners := range []string{"a:vdd=0.95;b:vdd=0.95", "nominal;twin:vdd=1"} {
+			body := fmt.Sprintf(`{"engine":%q,"corners":%q,"opens":[4],"rdefs":[1e4],"us":[0],"tests":["March PF"]}`, engine, corners)
+			if code, buf := post(t, s, "/v1/stress", body); code != http.StatusBadRequest || !strings.Contains(string(buf), "alias") {
+				t.Errorf("/v1/stress %s: status %d (%s), want a 400 naming the alias", body, code, buf)
+			}
 		}
 	}
 }

@@ -69,32 +69,21 @@ import (
 	"github.com/memtest/partialfaults/internal/numeric"
 )
 
-// Options configures the engines. The zero value is not usable; call
-// DefaultOptions.
-type Options struct {
-	// Gmin is the conductance from every node to ground, providing a DC
+// The solver constants, used throughout the repository.
+const (
+	// gmin is the conductance from every node to ground, providing a DC
 	// path for floating nets. 1e-12 S leaks a 250 fF bit line with a
 	// time constant of ~250 s, i.e. effectively floating at the
 	// nanosecond timescale of memory operations.
-	Gmin float64
-	// MaxNewtonIter bounds the Newton iterations per solve.
-	MaxNewtonIter int
-	// VTol is the absolute voltage convergence tolerance.
-	VTol float64
-	// MaxStepVoltage limits the per-iteration voltage update to damp
+	gmin = 1e-12
+	// maxNewtonIter bounds the Newton iterations per solve.
+	maxNewtonIter = 100
+	// vTol is the absolute voltage convergence tolerance.
+	vTol = 1e-6
+	// maxStepVoltage limits the per-iteration voltage update to damp
 	// Newton on strongly nonlinear steps (sense-amp regeneration).
-	MaxStepVoltage float64
-}
-
-// DefaultOptions returns the options used throughout the repository.
-func DefaultOptions() Options {
-	return Options{
-		Gmin:           1e-12,
-		MaxNewtonIter:  100,
-		VTol:           1e-6,
-		MaxStepVoltage: 1.0,
-	}
-}
+	maxStepVoltage = 1.0
+)
 
 // ErrNoConvergence is returned when Newton iteration fails to converge.
 var ErrNoConvergence = errors.New("spice: Newton iteration did not converge")
@@ -109,7 +98,6 @@ type pinnedNode struct {
 // Engine simulates a frozen circuit.
 type Engine struct {
 	ckt  *circuit.Circuit
-	opts Options
 	x    []float64 // current converged solution
 	time float64
 
@@ -169,7 +157,7 @@ type Engine struct {
 // handed out by Add are provisional, and stamping through them would
 // silently alias node unknowns. An unfrozen or empty circuit is a
 // construction-order bug in the caller, reported as an error.
-func NewEngine(ckt *circuit.Circuit, opts Options) (*Engine, error) {
+func NewEngine(ckt *circuit.Circuit) (*Engine, error) {
 	if !ckt.Frozen() {
 		return nil, fmt.Errorf("spice: circuit not frozen: branch indices are provisional until circuit.Freeze is called")
 	}
@@ -179,7 +167,6 @@ func NewEngine(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 	}
 	e := &Engine{
 		ckt:     ckt,
-		opts:    opts,
 		x:       make([]float64, n),
 		xIter:   make([]float64, n),
 		xNew:    make([]float64, n),
@@ -208,8 +195,8 @@ func NewEngine(ckt *circuit.Circuit, opts Options) (*Engine, error) {
 
 // MustNewEngine is NewEngine for circuits known frozen by construction;
 // it panics on error. Intended for tests and examples.
-func MustNewEngine(ckt *circuit.Circuit, opts Options) *Engine {
-	e, err := NewEngine(ckt, opts)
+func MustNewEngine(ckt *circuit.Circuit) *Engine {
+	e, err := NewEngine(ckt)
 	if err != nil {
 		panic(err)
 	}
@@ -393,7 +380,7 @@ func (e *Engine) refreshStatic(dt float64) {
 	}
 	// gmin to ground on every node.
 	for n := 0; n < e.ckt.NumNodes(); n++ {
-		e.staticA.Add(n, n, e.opts.Gmin)
+		e.staticA.Add(n, n, gmin)
 	}
 	// Project the full-size static stamp onto the reduced system once per
 	// regime: the free-by-free block and the couplings to pinned columns.
@@ -493,7 +480,7 @@ func (e *Engine) newtonSolve(guess, xPrev []float64, dt float64) error {
 		RowMap:  e.rowMap,
 		PinnedX: e.pinnedX,
 	}
-	for iter := 0; iter < e.opts.MaxNewtonIter; iter++ {
+	for iter := 0; iter < maxNewtonIter; iter++ {
 		if len(e.free) > 0 {
 			e.ctx.A = e.ws.Assemble()
 			copy(e.bRed, e.bRedBase)
@@ -516,15 +503,15 @@ func (e *Engine) newtonSolve(guess, xPrev []float64, dt float64) error {
 		// Damp node-voltage updates.
 		for i := 0; i < nNodes; i++ {
 			d := xNew[i] - xIter[i]
-			if d > e.opts.MaxStepVoltage {
-				xNew[i] = xIter[i] + e.opts.MaxStepVoltage
-			} else if d < -e.opts.MaxStepVoltage {
-				xNew[i] = xIter[i] - e.opts.MaxStepVoltage
+			if d > maxStepVoltage {
+				xNew[i] = xIter[i] + maxStepVoltage
+			} else if d < -maxStepVoltage {
+				xNew[i] = xIter[i] - maxStepVoltage
 			}
 		}
 		delta := numeric.MaxAbsDiff(xNew[:nNodes], xIter[:nNodes])
 		copy(xIter, xNew)
-		if delta < e.opts.VTol {
+		if delta < vTol {
 			copy(e.x, xIter)
 			return nil
 		}

@@ -22,7 +22,7 @@ func buildDivider() (*circuit.Circuit, string) {
 
 func TestOperatingPointDivider(t *testing.T) {
 	ckt, mid := buildDivider()
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	if err := e.OperatingPoint(); err != nil {
 		t.Fatalf("OperatingPoint: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestTransientRCCharge(t *testing.T) {
 	ckt.Add(device.NewCapacitor("C1", out, 0, c))
 	ckt.Freeze()
 
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	// Start with the cap discharged (skip OP, which would charge it).
 	tau := r * c
 	if err := e.Run(tau, 400, nil); err != nil {
@@ -74,7 +74,7 @@ func TestTransientRCDischargeFromSetVoltage(t *testing.T) {
 	ckt.Add(device.NewCapacitor("C1", out, 0, c))
 	ckt.Freeze()
 
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	e.SetNodeVoltage("out", 2.0)
 	tau := r * c
 	if err := e.Run(2*tau, 800, nil); err != nil {
@@ -96,7 +96,7 @@ func TestFloatingNodeHoldsVoltage(t *testing.T) {
 	ckt.Add(device.NewCapacitor("C1", fl, 0, 250e-15))
 	ckt.Freeze()
 
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	e.SetNodeVoltage("float", 1.7)
 	if err := e.Run(100e-9, 100, nil); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -114,7 +114,7 @@ func TestPWLSourceTransient(t *testing.T) {
 	ckt.Add(device.NewResistor("Rload", in, 0, 1e6))
 	ckt.Freeze()
 
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	if err := e.Run(5e-9, 50, nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestNMOSInverterTransfer(t *testing.T) {
 		p.W = 10e-6
 		ckt.Add(device.NewNMOS("M1", out, in, 0, p))
 		ckt.Freeze()
-		return MustNewEngine(ckt, DefaultOptions())
+		return MustNewEngine(ckt)
 	}
 
 	eLow := build(0)
@@ -172,7 +172,7 @@ func TestPMOSPullUp(t *testing.T) {
 	ckt.Add(device.NewResistor("RL", out, 0, 10e3))
 	ckt.Freeze()
 
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	if err := e.OperatingPoint(); err != nil {
 		t.Fatalf("OP: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestMOSPassTransistorChargesCap(t *testing.T) {
 	ckt.Add(device.NewCapacitor("Ccell", cell, 0, 30e-15))
 	ckt.Freeze()
 
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	if err := e.Run(10e-9, 200, nil); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestSwitchConnectsAndIsolates(t *testing.T) {
 		ckt.Add(device.NewSwitch("S1", vdd, out, c, 0, 1.65, 100, 1e12))
 		ckt.Add(device.NewResistor("RL", out, 0, 10e3))
 		ckt.Freeze()
-		return MustNewEngine(ckt, DefaultOptions())
+		return MustNewEngine(ckt)
 	}
 	on := build(3.3)
 	if err := on.OperatingPoint(); err != nil {
@@ -235,7 +235,7 @@ func TestSwitchConnectsAndIsolates(t *testing.T) {
 
 func TestEngineStepPanicsOnBadDt(t *testing.T) {
 	ckt, _ := buildDivider()
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	defer func() {
 		if recover() == nil {
 			t.Error("Step(0) should panic")
@@ -268,7 +268,7 @@ func TestElementWithoutFootprintWatchesEveryPosition(t *testing.T) {
 		}
 		ckt.MustAdd(m)
 		ckt.Freeze()
-		e := MustNewEngine(ckt, DefaultOptions())
+		e := MustNewEngine(ckt)
 		e.SetNodeVoltage("a", 2)
 		var v []float64
 		if err := e.Run(10e-9, 100, func(e *Engine) { v = append(v, e.Voltage("a"), e.Voltage("b"), e.Voltage("c")) }); err != nil {
@@ -295,12 +295,11 @@ func TestElementWithoutFootprintWatchesEveryPosition(t *testing.T) {
 
 // TestFailedStepRestoresClockExactly holds a failed Step to the clock it
 // started from, bit for bit: undoing the advance by subtraction is not
-// exact, since 0.1 + 0.2 − 0.2 is 0.10000000000000003.
+// exact, since 0.1 + 0.2 − 0.2 is 0.10000000000000003. The step fails
+// because a NaN-driven divider never converges.
 func TestFailedStepRestoresClockExactly(t *testing.T) {
-	ckt, _ := buildDivider()
-	opts := DefaultOptions()
-	opts.MaxNewtonIter = 1
-	e := MustNewEngine(ckt, opts)
+	ckt, _, _ := buildNaNDivider()
+	e := MustNewEngine(ckt)
 	e.RestoreState(make([]float64, ckt.Size()), 0.1)
 	if err := e.Step(0.2); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("Step err = %v, want ErrNoConvergence", err)
@@ -310,18 +309,25 @@ func TestFailedStepRestoresClockExactly(t *testing.T) {
 	}
 }
 
+// buildNaNDivider is a resistor divider driven from a grounded DC
+// source of NaN, so no Newton iterate of it converges.
+func buildNaNDivider() (ckt *circuit.Circuit, src, mid int) {
+	ckt = circuit.New()
+	src, mid = ckt.Node("src"), ckt.Node("mid")
+	ckt.MustAdd(device.NewVSource("V1", src, 0, device.DC(math.NaN())))
+	ckt.MustAdd(device.NewResistor("R1", src, mid, 1e3))
+	ckt.MustAdd(device.NewResistor("R2", mid, 0, 2e3))
+	ckt.Freeze()
+	return ckt, src, mid
+}
+
 // TestNaNIterateDoesNotConverge drives a resistor divider from a grounded
 // DC source of NaN. Newton must not take the NaN iterate for a converged
 // one: OperatingPoint and Step both fail and leave the previous solution
 // and the clock as they were.
 func TestNaNIterateDoesNotConverge(t *testing.T) {
-	ckt := circuit.New()
-	src, mid := ckt.Node("src"), ckt.Node("mid")
-	ckt.MustAdd(device.NewVSource("V1", src, 0, device.DC(math.NaN())))
-	ckt.MustAdd(device.NewResistor("R1", src, mid, 1e3))
-	ckt.MustAdd(device.NewResistor("R2", mid, 0, 2e3))
-	ckt.Freeze()
-	e := MustNewEngine(ckt, DefaultOptions())
+	ckt, src, mid := buildNaNDivider()
+	e := MustNewEngine(ckt)
 	prev := make([]float64, ckt.Size())
 	prev[src-1], prev[mid-1] = 3.3, 2.2
 	e.RestoreState(prev, 0.1)
@@ -357,7 +363,7 @@ func TestNaNIterateDoesNotConverge(t *testing.T) {
 func TestNaNGuessConverges(t *testing.T) {
 	solve := func(guess float64) ([]float64, uint64) {
 		ckt, mid := buildDivider()
-		e := MustNewEngine(ckt, DefaultOptions())
+		e := MustNewEngine(ckt)
 		i, ok := ckt.NodeIndex(mid)
 		if !ok {
 			t.Fatalf("no node %q", mid)
@@ -386,7 +392,7 @@ func TestNaNGuessConverges(t *testing.T) {
 
 func TestVoltageUnknownNetPanics(t *testing.T) {
 	ckt, _ := buildDivider()
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	defer func() {
 		if recover() == nil {
 			t.Error("Voltage(unknown) should panic")
@@ -406,11 +412,11 @@ func TestNewEngineRejectsUnfrozenCircuit(t *testing.T) {
 	ckt.MustAdd(device.NewVSource("V1", vdd, 0, device.DC(3.3)))
 	ckt.Node("late") // added after V1: V1's provisional branch index is now stale
 	//lint:ignore branch-freeze this test exists to exercise the run-time guard the rule mirrors
-	if _, err := NewEngine(ckt, DefaultOptions()); err == nil {
+	if _, err := NewEngine(ckt); err == nil {
 		t.Fatal("NewEngine must reject an unfrozen circuit")
 	}
 	ckt.Freeze()
-	e, err := NewEngine(ckt, DefaultOptions())
+	e, err := NewEngine(ckt)
 	if err != nil {
 		t.Fatalf("NewEngine after Freeze: %v", err)
 	}
@@ -425,7 +431,7 @@ func TestNewEngineRejectsUnfrozenCircuit(t *testing.T) {
 func TestNewEngineRejectsEmptyCircuit(t *testing.T) {
 	ckt := circuit.New()
 	ckt.Freeze()
-	if _, err := NewEngine(ckt, DefaultOptions()); err == nil {
+	if _, err := NewEngine(ckt); err == nil {
 		t.Fatal("NewEngine must reject an empty circuit")
 	}
 }
@@ -437,7 +443,7 @@ func TestISourceChargesCapacitorLinearly(t *testing.T) {
 	ckt.Add(device.NewISource("I1", 0, out, device.DC(1e-6))) // 1 µA into out
 	ckt.Add(device.NewCapacitor("C1", out, 0, 1e-12))
 	ckt.Freeze()
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	if err := e.Run(1e-6, 100, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +459,7 @@ func TestISourceIntoResistor(t *testing.T) {
 	ckt.Add(device.NewISource("I1", 0, out, device.DC(1e-3)))
 	ckt.Add(device.NewResistor("R1", out, 0, 1e3))
 	ckt.Freeze()
-	e := MustNewEngine(ckt, DefaultOptions())
+	e := MustNewEngine(ckt)
 	if err := e.OperatingPoint(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func randomResistorLadder(rng *rand.Rand, vsrc float64) (*Engine, int) {
 	}
 	ckt.Add(device.NewResistor("Rload", prev, 0, 100+rng.Float64()*10e3))
 	ckt.Freeze()
-	return MustNewEngine(ckt, DefaultOptions()), n
+	return MustNewEngine(ckt), n
 }
 
 func nodeName(i int) string { return string(rune('a' + i)) }
@@ -96,7 +96,7 @@ func TestChargeConservationProperty(t *testing.T) {
 		ckt.Add(device.NewCapacitor("C2", b, 0, c2))
 		ckt.Add(device.NewResistor("R", a, b, 1e3+rng.Float64()*1e5))
 		ckt.Freeze()
-		e := MustNewEngine(ckt, DefaultOptions())
+		e := MustNewEngine(ckt)
 		e.SetNodeVoltage("a", v1)
 		e.SetNodeVoltage("b", v2)
 		q0 := c1*v1 + c2*v2

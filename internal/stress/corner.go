@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/memtest/partialfaults/internal/analysis"
 	"github.com/memtest/partialfaults/internal/behav"
 	"github.com/memtest/partialfaults/internal/dram"
 	"github.com/memtest/partialfaults/internal/lint"
@@ -302,4 +303,63 @@ func EnsureNominal(specs []Spec) []Spec {
 		}
 	}
 	return append([]Spec{Nominal()}, specs...)
+}
+
+// ResolveCorners is the one corner resolver: it ensures a nominal
+// corner (EnsureNominal), derives every corner lint-clean from
+// dram.Default(), and rejects two corners that derive the same
+// technology. Such corners alias one model under both engines — the
+// analytical parameters follow from the technology — so they would
+// compute the same results under two names.
+func ResolveCorners(specs []Spec) ([]Spec, error) {
+	specs = EnsureNominal(specs)
+	seen := make(map[dram.Technology]string, len(specs))
+	for _, s := range specs {
+		t, err := s.Derive(dram.Default())
+		if err != nil {
+			return nil, err
+		}
+		if prev, dup := seen[t]; dup {
+			return nil, fmt.Errorf("stress: corners %q and %q derive the same technology — they alias one model and would compute the same results; drop one",
+				prev, s.Name)
+		}
+		seen[t] = s.Name
+	}
+	return specs, nil
+}
+
+// Model is one inventory engine's model at one corner: the factory a
+// sweep runs on, the fingerprint its results are keyed under, and the
+// technology it simulates.
+type Model struct {
+	Factory     analysis.Factory
+	Fingerprint analysis.Fingerprint
+	Tech        dram.Technology
+}
+
+// NewModel derives an inventory engine's model at a corner: "behav"
+// from behav.DefaultParams(), "spice" (the pooled transient column)
+// from dram.Default(). It is the one place a request or a corner turns
+// an engine name into a model. A spice fingerprint builds a column, so
+// callers on a store-hit path cache it.
+func NewModel(engine string, spec Spec) (Model, error) {
+	switch engine {
+	case "behav":
+		p, err := spec.DeriveParams(behav.DefaultParams())
+		if err != nil {
+			return Model{}, err
+		}
+		return Model{Factory: behav.NewFactory(p), Fingerprint: behav.Fingerprint(p), Tech: p.Tech}, nil
+	case "spice":
+		t, err := spec.Derive(dram.Default())
+		if err != nil {
+			return Model{}, err
+		}
+		fpnt, err := analysis.SpiceFingerprint(t)
+		if err != nil {
+			return Model{}, err
+		}
+		return Model{Factory: analysis.NewPooledSpiceFactory(t), Fingerprint: fpnt, Tech: t}, nil
+	}
+	return Model{}, fmt.Errorf("stress: unknown engine %q (want behav or spice)", engine)
 }

@@ -205,6 +205,48 @@ func TestEnsureNominal(t *testing.T) {
 	}
 }
 
+// TestResolveCorners: the resolver ensures a nominal corner and keeps
+// the submitted order, and it refuses a corner that derives an invalid
+// technology or the same technology as another corner — under another
+// name, or as a second identity corner. Aliased corners share both
+// engines' fingerprints, so comparing technologies is the fingerprint
+// test without building a column.
+func TestResolveCorners(t *testing.T) {
+	hot, _ := ParseSpec("hot")
+	if got, err := ResolveCorners([]Spec{hot}); err != nil || len(got) != 2 || got[0] != Nominal() || got[1] != hot {
+		t.Fatalf("ResolveCorners([hot]) = %+v, %v", got, err)
+	}
+	if got, err := ResolveCorners(nil); err != nil || len(got) != 1 || got[0] != Nominal() {
+		t.Fatalf("ResolveCorners(nil) = %+v, %v", got, err)
+	}
+	for _, list := range []string{"a:vdd=0.95;b:vdd=0.95", "nominal;twin:vdd=1", "hot;warm:temp=100"} {
+		specs, err := ParseSpecs(list)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ResolveCorners(specs); err == nil || !strings.Contains(err.Error(), "alias") {
+			t.Errorf("%s: ResolveCorners err = %v, want an alias", list, err)
+		}
+		for _, engine := range []string{"behav", "spice"} {
+			a, err := NewModel(engine, specs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewModel(engine, specs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Fingerprint != b.Fingerprint {
+				t.Errorf("%s: aliased corners derive distinct %s fingerprints", list, engine)
+			}
+		}
+	}
+	bad, _ := ParseSpec("lights-out:vdd=0.05")
+	if _, err := ResolveCorners([]Spec{bad}); err == nil {
+		t.Error("a corner deriving an invalid technology resolved")
+	}
+}
+
 // TestTempFactors pins the derivation physics' direction: heat raises
 // wire resistance and weakens device drive; cold does the opposite; the
 // base temperature is the fixed point.

@@ -1,48 +1,41 @@
 package stress
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
 
 	"github.com/memtest/partialfaults/internal/analysis"
-	"github.com/memtest/partialfaults/internal/behav"
 	"github.com/memtest/partialfaults/internal/bitsim"
 	"github.com/memtest/partialfaults/internal/defect"
 	"github.com/memtest/partialfaults/internal/dram"
 	"github.com/memtest/partialfaults/internal/fp"
 	"github.com/memtest/partialfaults/internal/march"
 	"github.com/memtest/partialfaults/internal/memsim"
-	"github.com/memtest/partialfaults/internal/numeric"
 )
 
-// Config parameterizes the stress matrix.
+// Config parameterizes the stress matrix. Corners, RDefs, Us, Rows and
+// Cols take no default: the request layer owns those.
 type Config struct {
-	// Corners to sweep; nil means DefaultCorners(). A nominal corner is
+	// Corners to sweep, resolved by ResolveCorners: a nominal corner is
 	// ensured (prepended when absent) — the deltas and the certificate
 	// need the reference point. Corner order is otherwise preserved.
 	Corners []Spec
 	// Engine selects the inventory backend: "behav" (default) or
 	// "spice".
 	Engine string
-	// Params is the base analytical parameter set for the behav engine;
-	// the zero value means behav.DefaultParams().
-	Params behav.Params
-	// Tech is the base electrical technology for the spice engine; the
-	// zero value means dram.Default().
-	Tech dram.Technology
 	// MarchEngine evaluates per-corner coverage; nil means the
 	// bit-plane engine.
 	MarchEngine march.Engine
 	// Opens restricts the analyzed opens; nil means all simulated opens.
 	Opens []defect.Open
 	// RDefs and Us are the per-corner sweep grid — shared across
-	// corners so region deltas compare like with like; nil means the
-	// standard Table 1 grid.
+	// corners so region deltas compare like with like.
 	RDefs, Us []float64
 	// Tests are the march tests certified; nil means the whole library.
 	Tests []march.Test
-	// Rows and Cols set the coverage-simulation geometry (default 4×2).
+	// Rows and Cols set the coverage-simulation geometry.
 	Rows, Cols int
 	// Parallelism bounds concurrent simulations when Pool is nil.
 	Parallelism int
@@ -57,10 +50,6 @@ type Config struct {
 	// Progress, when non-nil, receives one line per corner milestone.
 	Progress func(string)
 }
-
-// DefaultRDefs and DefaultUs return the standard Table 1 grid axes.
-func DefaultRDefs() []float64 { return numeric.Logspace(1e3, 1e7, 13) }
-func DefaultUs() []float64    { return numeric.Linspace(0, 3.3, 12) }
 
 // CornerRun is one corner's slice of the matrix.
 type CornerRun struct {
@@ -174,58 +163,37 @@ func Injectable(e march.CatalogEntry) (bool, string) {
 	return true, ""
 }
 
-// Analyze runs the full stress matrix: every corner's technology is
-// derived and lint-validated, its inventory swept through the shared
-// pool under its own factory and model fingerprint, its
-// coverage matrix simulated over the derived catalog, and the deltas
-// and worst-corner certificate assembled. Corners run at once, one
-// analysis.ForEach worker each, and share one pool (cfg.Pool, else a
-// new one of cfg.Parallelism slots); a corner only coordinates and
-// holds no slot. The result, and the error returned, are deterministic
-// in submission order.
+// Analyze runs the full stress matrix: the corners are resolved
+// (ResolveCorners), each corner's inventory swept through the shared
+// pool under its own model (NewModel), its coverage matrix simulated
+// over the derived catalog, and the deltas and worst-corner certificate
+// assembled. Corners run at once, one analysis.ForEach worker each, and
+// share one pool (cfg.Pool, else a new one of cfg.Parallelism slots); a
+// corner only coordinates and holds no slot. The result, and the error
+// returned, are deterministic in submission order.
 func Analyze(cfg Config) (*Result, error) {
-	corners := cfg.Corners
-	if corners == nil {
-		corners = DefaultCorners()
+	if len(cfg.RDefs) == 0 || len(cfg.Us) == 0 || cfg.Rows < 1 || cfg.Cols < 1 {
+		return nil, fmt.Errorf("stress: a %d×%d grid over a %dx%d array: every axis and side needs at least one point",
+			len(cfg.RDefs), len(cfg.Us), cfg.Rows, cfg.Cols)
 	}
-	corners = EnsureNominal(corners)
-	engine := cfg.Engine
-	if engine == "" {
-		engine = "behav"
+	corners, err := ResolveCorners(cfg.Corners)
+	if err != nil {
+		return nil, err
 	}
-	if engine != "behav" && engine != "spice" {
-		return nil, fmt.Errorf("stress: unknown engine %q (want behav or spice)", engine)
+	engine := cmp.Or(cfg.Engine, "behav")
+	models := make([]Model, len(corners))
+	for i, spec := range corners {
+		if models[i], err = NewModel(engine, spec); err != nil {
+			return nil, err
+		}
 	}
 	marchEng := cfg.MarchEngine
 	if marchEng == nil {
 		marchEng = bitsim.New()
 	}
-	params := cfg.Params
-	if params == (behav.Params{}) {
-		params = behav.DefaultParams()
-	}
-	baseTech := cfg.Tech
-	if baseTech == (dram.Technology{}) {
-		baseTech = dram.Default()
-	}
 	tests := cfg.Tests
 	if tests == nil {
 		tests = march.All()
-	}
-	rows, cols := cfg.Rows, cfg.Cols
-	if rows == 0 {
-		rows = 4
-	}
-	if cols == 0 {
-		cols = 2
-	}
-	rdefs := cfg.RDefs
-	if rdefs == nil {
-		rdefs = DefaultRDefs()
-	}
-	us := cfg.Us
-	if us == nil {
-		us = DefaultUs()
 	}
 	progress := cfg.Progress
 	if progress == nil {
@@ -243,51 +211,14 @@ func Analyze(cfg Config) (*Result, error) {
 		pool = analysis.NewPool(cfg.Parallelism)
 	}
 
-	// Derive every corner up front: a bad corner fails the whole matrix
-	// before any simulation runs.
-	type derived struct {
-		factory analysis.Factory
-		model   analysis.Fingerprint
-		tech    dram.Technology
-	}
-	ds := make([]derived, len(corners))
-	seenModels := map[analysis.Fingerprint]string{}
-	for i, spec := range corners {
-		var d derived
-		switch engine {
-		case "behav":
-			p, err := spec.DeriveParams(params)
-			if err != nil {
-				return nil, err
-			}
-			d = derived{factory: behav.NewFactory(p), model: behav.Fingerprint(p), tech: p.Tech}
-		case "spice":
-			t, err := spec.Derive(baseTech)
-			if err != nil {
-				return nil, err
-			}
-			fpnt, err := analysis.SpiceFingerprint(t)
-			if err != nil {
-				return nil, err
-			}
-			d = derived{factory: analysis.NewPooledSpiceFactory(t), model: fpnt, tech: t}
-		}
-		if prev, dup := seenModels[d.model]; dup {
-			return nil, fmt.Errorf("stress: corners %q and %q derive the same model fingerprint %s — they alias one model and would compute the same results; drop one",
-				prev, spec.Name, d.model)
-		}
-		seenModels[d.model] = spec.Name
-		ds[i] = d
-	}
-
 	runs := make([]CornerRun, len(corners))
-	err := analysis.ForEach(cfg.Ctx, len(corners), len(corners), func(i int) error {
-		spec, d := corners[i], ds[i]
-		report("corner %s: sweeping inventory under model %s", spec.Name, d.model)
+	err = analysis.ForEach(cfg.Ctx, len(corners), len(corners), func(i int) error {
+		spec, m := corners[i], models[i]
+		report("corner %s: sweeping inventory under model %s", spec.Name, m.Fingerprint)
 		invRows, err := analysis.BuildInventory(analysis.InventoryConfig{
-			Factory: d.factory,
+			Factory: m.Factory,
 			Opens:   cfg.Opens,
-			RDefs:   rdefs, Us: us,
+			RDefs:   cfg.RDefs, Us: cfg.Us,
 			Ctx: cfg.Ctx, Pool: pool,
 			Sweep: cfg.Sweep, Trace: cfg.Trace,
 		})
@@ -305,11 +236,11 @@ func Analyze(cfg Config) (*Result, error) {
 			injectable = append(injectable, e)
 		}
 		report("corner %s: %d inventory rows (%d injectable); simulating coverage on %dx%d",
-			spec.Name, len(invRows), len(injectable), rows, cols)
+			spec.Name, len(invRows), len(injectable), cfg.Rows, cfg.Cols)
 		var coverage []march.CoverageResult
 		var werr error
 		if err := pool.DoContext(cfg.Ctx, func() {
-			coverage, werr = march.CoverageMatrixWith(marchEng, tests, injectable, rows, cols)
+			coverage, werr = march.CoverageMatrixWith(marchEng, tests, injectable, cfg.Rows, cfg.Cols)
 		}); err != nil {
 			return fmt.Errorf("stress: corner %s coverage: %w", spec.Name, err)
 		}
@@ -317,7 +248,7 @@ func Analyze(cfg Config) (*Result, error) {
 			return fmt.Errorf("stress: corner %s coverage: %w", spec.Name, werr)
 		}
 		runs[i] = CornerRun{
-			Spec: spec, Tech: d.tech, Model: d.model,
+			Spec: spec, Tech: m.Tech, Model: m.Fingerprint,
 			Rows: invRows, Catalog: catalog,
 			Uninjectable: uninjectable, Coverage: coverage,
 		}
@@ -336,7 +267,7 @@ func Analyze(cfg Config) (*Result, error) {
 	}
 	res := &Result{
 		Engine: engine, MarchEngineName: marchEng.Name(),
-		Rows: rows, Cols: cols,
+		Rows: cfg.Rows, Cols: cfg.Cols,
 		Corners: runs, NominalIndex: nominalIdx,
 	}
 	res.Deltas = buildDeltas(res)
