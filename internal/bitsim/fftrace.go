@@ -36,25 +36,6 @@ type ffElem struct {
 	mm bool
 }
 
-// resolveOrders fixes each element's concrete order under a ⇕
-// assignment, mirroring Test.Run's occurrence indexing.
-func resolveOrders(t march.Test, anyOrders []march.Order) []march.Order {
-	out := make([]march.Order, len(t.Elements))
-	anyIdx := 0
-	for i, e := range t.Elements {
-		order := e.Order
-		if order == march.Any {
-			order = march.Up
-			if anyIdx < len(anyOrders) && anyOrders[anyIdx] == march.Down {
-				order = march.Down
-			}
-			anyIdx++
-		}
-		out[i] = order
-	}
-	return out
-}
-
 // ffTrace computes the per-element fault-free traces of a test under a
 // concrete order assignment.
 func ffTrace(t march.Test, orders []march.Order) []ffElem {
@@ -86,10 +67,10 @@ func ffTrace(t march.Test, orders []march.Order) []ffElem {
 
 // traces returns the fault-free trace of every ⇕-order assignment.
 func traces(t march.Test) [][]ffElem {
-	assignments := t.OrderAssignments()
+	assignments := t.ResolvedOrders()
 	out := make([][]ffElem, len(assignments))
 	for i, orders := range assignments {
-		out[i] = ffTrace(t, resolveOrders(t, orders))
+		out[i] = ffTrace(t, orders)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package march
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,6 +93,19 @@ func TestOrderAssignments(t *testing.T) {
 	up := MATSPlus() // one ⇕ element → 2 assignments
 	if got := len(up.OrderAssignments()); got != 2 {
 		t.Errorf("MATS+ assignments = %d, want 2", got)
+	}
+}
+
+// TestResolvedOrders: each assignment fixes the ⇕ elements in
+// occurrence order, the first ⇕ element varying fastest, and leaves
+// every other element's order alone.
+func TestResolvedOrders(t *testing.T) {
+	tst := MustParse("t", "{⇕(w0); ⇓(r0,w1); ⇕(r1)}")
+	want := [][]Order{
+		{Up, Down, Up}, {Down, Down, Up}, {Up, Down, Down}, {Down, Down, Down},
+	}
+	if got := tst.ResolvedOrders(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ResolvedOrders() = %v, want %v", got, want)
 	}
 }
 

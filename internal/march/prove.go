@@ -136,25 +136,6 @@ func (c cellClass) describe() string {
 	return fmt.Sprintf("victim %s, %s", col[c.colPos], glob[c.globalPos])
 }
 
-// resolveOrders maps an OrderAssignments entry to one concrete order per
-// element.
-func resolveOrders(t Test, anyOrders []Order) []Order {
-	out := make([]Order, len(t.Elements))
-	anyIdx := 0
-	for i, e := range t.Elements {
-		o := e.Order
-		if o == Any {
-			o = Up
-			if anyIdx < len(anyOrders) && anyOrders[anyIdx] == Down {
-				o = Down
-			}
-			anyIdx++
-		}
-		out[i] = o
-	}
-	return out
-}
-
 // describeOrders renders a resolved assignment for witnesses.
 func describeOrders(orders []Order) string {
 	s := ""
@@ -247,8 +228,7 @@ func ProveDetects(t Test, e CatalogEntry) Proof {
 	anyFire := false
 	detecting := 0
 	total := 0
-	for _, any := range t.OrderAssignments() {
-		orders := resolveOrders(t, any)
+	for _, orders := range t.ResolvedOrders() {
 		for _, cl := range victimClasses {
 			r := runSingleAbstract(t, trs, cf, orders, cl)
 			total++

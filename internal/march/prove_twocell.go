@@ -131,8 +131,7 @@ func ProveDetectsTwoCell(t Test, e TwoCellCatalogEntry) Proof {
 	var missWitness string
 	anyFire := false
 	detecting, total := 0, 0
-	for _, any := range t.OrderAssignments() {
-		orders := resolveOrders(t, any)
+	for _, orders := range t.ResolvedOrders() {
 		for _, cl := range classes {
 			r := runTwoCellAbstract(t, trs, cf, e.FP, orders, cl)
 			total++

@@ -84,6 +84,29 @@ func (t Test) OrderAssignments() [][]Order {
 	return out
 }
 
+// ResolvedOrders returns, for each OrderAssignments entry in its order,
+// the concrete order of every element: a ⇕ element takes the entry's
+// next order, any other element keeps its own. The detection prover and
+// the bit-plane engine walk these; Run resolves its anyOrders itself,
+// so the differential suites compare it against independent code.
+func (t Test) ResolvedOrders() [][]Order {
+	assignments := t.OrderAssignments()
+	out := make([][]Order, len(assignments))
+	for i, anyOrders := range assignments {
+		orders := make([]Order, len(t.Elements))
+		k := 0
+		for j, e := range t.Elements {
+			orders[j] = e.Order
+			if e.Order == Any {
+				orders[j] = anyOrders[k]
+				k++
+			}
+		}
+		out[i] = orders
+	}
+	return out
+}
+
 // Detects reports whether the test *guarantees* detection of the fault
 // family produced by mk: for every victim address in a rows×cols array
 // and every ⇕-order assignment, running the test on a fresh array with
