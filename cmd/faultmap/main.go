@@ -144,7 +144,7 @@ func (o *options) predictRequest() (*request.Predict, error) {
 		if at := strings.IndexByte(part, '@'); at >= 0 {
 			d.Site = part[:at]
 			v, err := strconv.ParseFloat(part[at+1:], 64)
-			if err != nil || v < 0 {
+			if err != nil {
 				return nil, fmt.Errorf("bad resistance in %q; want e.g. %s@2e3", part, d.Site)
 			}
 			d.Ohms = v

@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"github.com/memtest/partialfaults/internal/dram"
 )
 
 // kinds names the six request kinds in the order FuzzNormalize's kind
@@ -57,10 +59,12 @@ func FuzzNormalize(f *testing.F) {
 }
 
 // checkBounds fails unless a normalized request lies inside every bound
-// Normalize promises: grid axes of 1 to maxAxisPoints finite points
-// (positive resistances), strictly increasing open IDs, sides of 1 to
-// maxSide, 1 to maxCorners stress corners, and at most
-// maxTwoCellPasses aggressor-offset passes.
+// Normalize promises: strictly increasing grid axes of 1 to
+// maxAxisPoints finite points (positive resistances), strictly
+// increasing open IDs, sides of 1 to maxSide, 1 to maxCorners stress
+// corners, at most maxTwoCellPasses aggressor-offset passes, and
+// predict defects at distinct sites with resistances of at least 0 and
+// below the open cutoff.
 func checkBounds(t *testing.T, q keyed) {
 	t.Helper()
 	grid := func(g Grid) {
@@ -68,9 +72,12 @@ func checkBounds(t *testing.T, q keyed) {
 			if len(axis) == 0 || len(axis) > maxAxisPoints {
 				t.Fatalf("accepted a grid axis of %d points", len(axis))
 			}
-			for _, v := range axis {
+			for i, v := range axis {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("accepted a grid value %g", v)
+				}
+				if i > 0 && !(v > axis[i-1]) {
+					t.Fatalf("accepted grid axis %v: not strictly increasing", axis)
 				}
 			}
 		}
@@ -102,6 +109,16 @@ func checkBounds(t *testing.T, q keyed) {
 		side(q.Rows, q.Cols)
 		if n := len(q.Offsets); n > maxTwoCellPasses || n == 0 && 2*(q.Rows*q.Cols-1) > maxTwoCellPasses {
 			t.Fatalf("accepted a %dx%d certificate over %d offsets", q.Rows, q.Cols, n)
+		}
+	case *Predict:
+		cutoff := dram.LintModel().CutoffOhms
+		for i, d := range q.Defects {
+			if !(d.Ohms >= 0 && d.Ohms < cutoff) {
+				t.Fatalf("accepted defect %s at %g Ω", d.Site, d.Ohms)
+			}
+			if slices.ContainsFunc(q.Defects[:i], func(p PredictDefect) bool { return p.Site == d.Site }) {
+				t.Fatalf("accepted defect site %s twice", d.Site)
+			}
 		}
 	case *Stress:
 		grid(q.Grid)

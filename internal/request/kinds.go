@@ -284,7 +284,9 @@ type Prediction struct {
 }
 
 // Normalize checks that exactly one of open and defects is given and
-// resolves it.
+// resolves it. Each defect site appears once, with a resistance of at
+// least 0 and below the lint model's cutoff, at or above which a
+// branch is an open, not a merge.
 func (q *Predict) Normalize(*Env) (err error) {
 	if (q.Open == 0) == (len(q.Defects) == 0) {
 		return badRequest("want exactly one of open or defects")
@@ -294,12 +296,19 @@ func (q *Predict) Normalize(*Env) (err error) {
 		return err
 	}
 	catalog := defect.ShortsAndBridges()
-	for _, d := range q.Defects {
-		i := slices.IndexFunc(catalog, func(sb defect.ShortOrBridge) bool { return sb.Site == d.Site })
-		if i < 0 {
+	cutoff := dram.LintModel().CutoffOhms
+	for i, d := range q.Defects {
+		j := slices.IndexFunc(catalog, func(sb defect.ShortOrBridge) bool { return sb.Site == d.Site })
+		if j < 0 {
 			return badRequest("unknown defect site %q", d.Site)
 		}
-		q.defects = append(q.defects, catalog[i])
+		if slices.ContainsFunc(q.Defects[:i], func(p PredictDefect) bool { return p.Site == d.Site }) {
+			return badRequest("defect site %q is listed twice: each site takes one resistance", d.Site)
+		}
+		if !(d.Ohms >= 0 && d.Ohms < cutoff) {
+			return badRequest("defect site %q: resistance %g Ω must be at least 0 and below the %g Ω open cutoff", d.Site, d.Ohms, cutoff)
+		}
+		q.defects = append(q.defects, catalog[j])
 	}
 	return nil
 }

@@ -12,8 +12,11 @@
 // The CLIs build the same values from their flags, so a CLI run and a
 // service request that normalize to one key compute one result. Every
 // request decision (engine names, test and open lookup, grid axes,
-// geometry, aggressor offsets, stress corners) has exactly one resolver
-// here; every march request runs on the one bit-plane engine.
+// geometry, aggressor offsets, the corner list) and every request
+// default has exactly one resolver here; the models behind the engine
+// names and the corners' derivation are internal/stress's (NewModel,
+// ResolveCorners). Every march request runs on the one bit-plane
+// engine.
 package request
 
 import (
@@ -222,10 +225,12 @@ type Grid struct {
 const maxAxisPoints = 256
 
 // Normalize derives the explicit axes — a zero triple field takes the
-// Table 1 default (1 kΩ…10 MΩ in 13 steps, 0…3.3 V in 12) — and zeroes
-// the consumed triples, so every spelling of one grid encodes the same.
-// Step counts must not be negative, no axis may exceed maxAxisPoints,
-// resistances must be positive and every value finite.
+// Table 1 default (1 kΩ…10 MΩ in 13 steps, 0…3.3 V in 12) — zeroes the
+// consumed triples, and sorts each axis ascending without repeats (the
+// order analysis.Plane documents), so every spelling of one grid
+// encodes and runs the same. Step counts must not be negative, no axis
+// may exceed maxAxisPoints, resistances must be positive and every
+// value finite.
 func (g *Grid) Normalize() error {
 	for _, n := range []int{g.RDefSteps, g.USteps, len(g.RDefs), len(g.Us)} {
 		if n < 0 || n > maxAxisPoints {
@@ -251,6 +256,11 @@ func (g *Grid) Normalize() error {
 		if math.IsNaN(u) || math.IsInf(u, 0) {
 			return badRequest("voltage %g is not finite", u)
 		}
+	}
+	for _, axis := range []*[]float64{&g.RDefs, &g.Us} {
+		*axis = slices.Clone(*axis)
+		slices.Sort(*axis)
+		*axis = slices.Compact(*axis)
 	}
 	return nil
 }

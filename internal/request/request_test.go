@@ -125,6 +125,9 @@ var pinnedBodies = []struct{ kind, body, digest string }{
 	// A repeated open ID is one open: the hot bodies with Open 4 twice.
 	{"inventory", `{"opens":[4,4],"rdefs":[1000,10000,100000,1000000,10000000],"us":[0,1.0999999999999999,2.1999999999999997,3.3]}`, "ee9c2709e6315d2a6a8a9ec2b50d217b06fd55762ed9da6e31453b8aefd31bd6"},
 	{"stress", `{"corners":"nominal;hot","opens":[4,4],"rdefs":[10000,100000,1000000],"tests":["March PF"],"us":[0,1.65,3.3]}`, "b0268c47700a23543ff39f7b09c7c177952b3c02818cf366049562f415bcf076"},
+	// An axis keys as its ascending form without repeats: the Open 5 body
+	// reversed, with a resistance listed twice.
+	{"inventory", `{"opens":[5],"rdefs":[1e6,1e4,1e5,1e4],"us":[3.3,0,1.65]}`, "c03617af2a15bae7093fdfb1ee7e2ab874818d38bf425b276e256b94dbe57f15"},
 }
 
 // TestKeysPinned pins the store key of every request body the benchmark
@@ -244,6 +247,9 @@ var rejectedBodies = []struct{ kind, body string }{
 	{"predict", `{"open":1,"defects":[{"site":"bridge.bl.bl"}]}`},
 	{"predict", `{"open":99}`},
 	{"predict", `{"defects":[{"site":"nowhere"}]}`},
+	{"predict", `{"defects":[{"site":"bridge.bl.bl","ohms":1e12}]}`},
+	{"predict", `{"defects":[{"site":"bridge.bl.bl"},{"site":"bridge.bl.bl","ohms":2e6}]}`},
+	{"predict", `{"defects":[{"site":"bridge.bl.bl","ohms":-5}]}`},
 	{"stress", `{"corners":"volcanic"}`},
 	{"stress", `{"corners":"lights-out:vdd=0.05"}`},
 	{"stress", `{"engine":"verilog"}`},

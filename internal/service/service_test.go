@@ -341,6 +341,9 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/twocell", `{}`},
 		{"/v1/twocell", `{"test":"MATS+","offsets":[0]}`},
 		{"/v1/predict", `{"defects":[{"site":"nowhere"}]}`},
+		{"/v1/predict", `{"defects":[{"site":"bridge.bl.bl","ohms":1e12}]}`},
+		{"/v1/predict", `{"defects":[{"site":"bridge.bl.bl"},{"site":"bridge.bl.bl","ohms":2e6}]}`},
+		{"/v1/predict", `{"defects":[{"site":"bridge.bl.bl","ohms":-5}]}`},
 		{"/v1/batch", `{"requests":[]}`},
 		{"/v1/batch", `{"requests":[` + strings.Repeat(`{"kind":"matrix","body":{}},`, maxBatchItems) + `{"kind":"matrix","body":{}}]}`},
 		{"/v1/coverage", `{"engine":"memsim"}`},
