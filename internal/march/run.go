@@ -91,9 +91,12 @@ func (t Test) OrderAssignments() [][]Order {
 // so the differential suites compare it against independent code.
 func (t Test) ResolvedOrders() [][]Order {
 	assignments := t.OrderAssignments()
-	out := make([][]Order, len(assignments))
+	n := len(t.Elements)
+	// One backing array holds every resolution; each entry of
+	// assignments is replaced by its own.
+	flat := make([]Order, len(assignments)*n)
 	for i, anyOrders := range assignments {
-		orders := make([]Order, len(t.Elements))
+		orders := flat[i*n : (i+1)*n : (i+1)*n]
 		k := 0
 		for j, e := range t.Elements {
 			orders[j] = e.Order
@@ -102,9 +105,9 @@ func (t Test) ResolvedOrders() [][]Order {
 				k++
 			}
 		}
-		out[i] = orders
+		assignments[i] = orders
 	}
-	return out
+	return assignments
 }
 
 // Detects reports whether the test *guarantees* detection of the fault
