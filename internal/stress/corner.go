@@ -310,7 +310,10 @@ func EnsureNominal(specs []Spec) []Spec {
 // dram.Default(), and rejects two corners that derive the same
 // technology. Such corners alias one model under both engines — the
 // analytical parameters follow from the technology — so they would
-// compute the same results under two names.
+// compute the same results under two names. Comparing technologies
+// with == is the fingerprint test without building a column, except
+// that it also joins temperatures spelled 0 and −0, which hash apart
+// but compute the same bits.
 func ResolveCorners(specs []Spec) ([]Spec, error) {
 	specs = EnsureNominal(specs)
 	seen := make(map[dram.Technology]string, len(specs))

@@ -210,7 +210,8 @@ func TestEnsureNominal(t *testing.T) {
 // technology or the same technology as another corner — under another
 // name, or as a second identity corner. Aliased corners share both
 // engines' fingerprints, so comparing technologies is the fingerprint
-// test without building a column.
+// test without building a column (and a little stricter: see the
+// signed-zero temperatures below).
 func TestResolveCorners(t *testing.T) {
 	hot, _ := ParseSpec("hot")
 	if got, err := ResolveCorners([]Spec{hot}); err != nil || len(got) != 2 || got[0] != Nominal() || got[1] != hot {
@@ -240,6 +241,13 @@ func TestResolveCorners(t *testing.T) {
 				t.Errorf("%s: aliased corners derive distinct %s fingerprints", list, engine)
 			}
 		}
+	}
+	// Temperatures spelled 0 and −0 hash apart, but the temperature
+	// enters the models only through the derivation, where the two
+	// agree: the corners compute the same bits, so they alias too.
+	zeros, _ := ParseSpecs("a:temp=0;b:temp=-0")
+	if _, err := ResolveCorners(zeros); err == nil || !strings.Contains(err.Error(), "alias") {
+		t.Errorf("temperatures 0 and -0: ResolveCorners err = %v, want an alias", err)
 	}
 	bad, _ := ParseSpec("lights-out:vdd=0.05")
 	if _, err := ResolveCorners([]Spec{bad}); err == nil {
