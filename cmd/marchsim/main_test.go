@@ -93,6 +93,17 @@ func TestRunBadFlagCombos(t *testing.T) {
 	}
 }
 
+// TestRunTooManyAnyElements: a custom test with more ⇕ elements than
+// the cap fails with the parse error instead of panicking in the
+// engine (64 elements used to divide by zero).
+func TestRunTooManyAnyElements(t *testing.T) {
+	notation := "{" + strings.Repeat("m(w0); ", 64) + "}"
+	code, out, errw := runCLI(t, "-test", "custom", "-geometry", "2x2", "-notation", notation)
+	if code != 1 || !strings.Contains(errw, "16") {
+		t.Fatalf("exit %d, stderr %q, stdout %q; want exit 1 naming the cap of 16", code, errw, out)
+	}
+}
+
 func TestRunSingleTestCoverage(t *testing.T) {
 	code, out, errw := runCLI(t, "-test", "MATS+", "-rows", "3", "-cols", "2")
 	if code != 0 {

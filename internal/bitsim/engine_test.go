@@ -36,3 +36,26 @@ func TestScenarioCountOverflow(t *testing.T) {
 		t.Fatalf("Detects on 1024x1024: %+v, %v", det, err)
 	}
 }
+
+// TestTooManyAnyElements: a test with more ⇕ elements than the cap of
+// 16 (march.MaxAnyElements) is an error from every entry point. At 64
+// the uncapped assignment count 1<<64 wrapped to 0 and Detects divided
+// by zero.
+func TestTooManyAnyElements(t *testing.T) {
+	eng := New()
+	for _, k := range []int{17, 63, 64} {
+		test := march.Test{Name: "any"}
+		for range k {
+			test.Elements = append(test.Elements, march.Element{Order: march.Any, Ops: []march.Op{march.W(0)}})
+		}
+		if det, err := eng.Detects(test, 2, 2, march.ClassicalFaultCatalog()[0]); err == nil {
+			t.Errorf("Detects of %d ⇕ elements: %+v, want an error", k, det)
+		}
+		if det, err := eng.DetectsTwoCell(test, 2, 2, march.TwoCellCatalog()[0]); err == nil {
+			t.Errorf("DetectsTwoCell of %d ⇕ elements: %+v, want an error", k, det)
+		}
+		if det, err := eng.DetectsTwoCellOffsets(test, 2, 2, march.TwoCellCatalog()[0], []int{1}); err == nil {
+			t.Errorf("DetectsTwoCellOffsets of %d ⇕ elements: %+v, want an error", k, det)
+		}
+	}
+}

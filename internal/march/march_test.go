@@ -109,6 +109,45 @@ func TestResolvedOrders(t *testing.T) {
 	}
 }
 
+// anyTest returns a test of k ⇕ write elements.
+func anyTest(k int) Test {
+	t := Test{Name: "any"}
+	for range k {
+		t.Elements = append(t.Elements, Element{Order: Any, Ops: []Op{W(0)}})
+	}
+	return t
+}
+
+// TestValidateCapsAnyElements: a guarantee analysis walks all 2^k
+// order assignments of k ⇕ elements, so Validate refuses more than
+// MaxAnyElements with an error that names the cap. Uncapped, 64
+// elements counted 1<<64 = 0 assignments (a divide by zero in the
+// bit-plane engine) and 63 a negative slice capacity.
+func TestValidateCapsAnyElements(t *testing.T) {
+	if err := anyTest(16).Validate(); err != nil {
+		t.Fatalf("16 ⇕ elements: %v", err)
+	}
+	for _, k := range []int{17, 63, 64} {
+		err := anyTest(k).Validate()
+		if err == nil || !strings.Contains(err.Error(), "16") {
+			t.Errorf("%d ⇕ elements: err %v, want one naming the cap of 16", k, err)
+		}
+		notation := "{" + strings.Repeat("m(w0); ", k) + "}"
+		if _, err := Parse("any", notation); err == nil {
+			t.Errorf("Parse of %d ⇕ elements succeeded", k)
+		}
+		if _, err := (ScalarEngine{}).Detects(anyTest(k), 2, 2, ClassicalFaultCatalog()[0]); err == nil {
+			t.Errorf("ScalarEngine.Detects of %d ⇕ elements succeeded", k)
+		}
+		if p := ProveDetects(anyTest(k), ClassicalFaultCatalog()[0]); p.Verdict != VerdictUnknown {
+			t.Errorf("ProveDetects of %d ⇕ elements: %v, want unknown", k, p.Verdict)
+		}
+		if p := ProveDetectsTwoCell(anyTest(k), TwoCellCatalog()[0]); p.Verdict != VerdictUnknown {
+			t.Errorf("ProveDetectsTwoCell of %d ⇕ elements: %v, want unknown", k, p.Verdict)
+		}
+	}
+}
+
 // TestMarchSSDetectsAllStaticFaults validates the functional simulator
 // against the published property of March SS (and March RAW): they
 // detect all twelve static single-cell FPs.
