@@ -33,7 +33,7 @@ func FuzzProveDetects(f *testing.F) {
 		}
 		// Bound the scenario space: long tests and many ⇕ elements blow
 		// up both the prover's order enumeration and the dynamic sweep.
-		if tst.Length() > 12 || len(tst.AnyElements()) > 3 {
+		if tst.Length() > 12 || tst.AnyCount() > 3 {
 			return
 		}
 		for _, e := range PaperFaultCatalog() {

@@ -35,7 +35,7 @@ func FuzzCannotCompleteTwoCell(f *testing.F) {
 		if err != nil {
 			return
 		}
-		verify := tst.Length() <= 12 && len(tst.AnyElements()) <= 3
+		verify := tst.Length() <= 12 && tst.AnyCount() <= 3
 		for _, e := range catalog {
 			cannot, why := cannotCompleteTwoCell(tst, e)
 			if !cannot {

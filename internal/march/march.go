@@ -105,7 +105,13 @@ func (t Test) Length() int {
 	return n
 }
 
-// Validate checks structural sanity: non-empty elements, bit data.
+// MaxAnyElements caps a test's ⇕ elements. A guarantee analysis walks
+// all 2^k order assignments of k ⇕ elements, so 16 means 65 536
+// assignments; the library's most is March PF's 4.
+const MaxAnyElements = 16
+
+// Validate checks structural sanity: non-empty elements and at most
+// MaxAnyElements ⇕ elements.
 func (t Test) Validate() error {
 	if len(t.Elements) == 0 {
 		return fmt.Errorf("march: test %q has no elements", t.Name)
@@ -115,17 +121,21 @@ func (t Test) Validate() error {
 			return fmt.Errorf("march: test %q element %d is empty", t.Name, i)
 		}
 	}
+	if k := t.AnyCount(); k > MaxAnyElements {
+		return fmt.Errorf("march: test %q has %d ⇕ elements, more than the cap of %d (%d order assignments)",
+			t.Name, k, MaxAnyElements, 1<<MaxAnyElements)
+	}
 	return nil
 }
 
-// AnyElements returns the indexes of ⇕ elements (whose order a guarantee
-// analysis must vary).
-func (t Test) AnyElements() []int {
-	var out []int
-	for i, e := range t.Elements {
+// AnyCount returns the number of ⇕ elements, whose order a guarantee
+// analysis must vary: a test has 1 << AnyCount() order assignments.
+func (t Test) AnyCount() int {
+	k := 0
+	for _, e := range t.Elements {
 		if e.Order == Any {
-			out = append(out, i)
+			k++
 		}
 	}
-	return out
+	return k
 }

@@ -208,7 +208,7 @@ func ProveDetects(t Test, e CatalogEntry) Proof {
 		return unknownProof(fmt.Sprintf("structurally invalid test: %v", err))
 	}
 	trs, healthy := traceTest(t)
-	scenarios := len(victimClasses) * len(t.OrderAssignments())
+	scenarios := len(victimClasses) * (1 << t.AnyCount())
 	if !healthy {
 		return contradictoryDetects(t, scenarios)
 	}

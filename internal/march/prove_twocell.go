@@ -112,7 +112,7 @@ func ProveDetectsTwoCell(t Test, e TwoCellCatalogEntry) Proof {
 	}
 	trs, healthy := traceTest(t)
 	classes := pairClasses()
-	scenarios := len(classes) * len(t.OrderAssignments())
+	scenarios := len(classes) * (1 << t.AnyCount())
 	if !healthy {
 		return contradictoryDetects(t, scenarios)
 	}

@@ -65,9 +65,10 @@ func (t Test) Run(arr *memsim.Array, anyOrders []Order) ([]Mismatch, error) {
 }
 
 // OrderAssignments enumerates all 2^k concrete order choices for the
-// test's ⇕ elements.
+// test's ⇕ elements: in entry i, bit b of i set means the b-th ⇕
+// element runs ⇓.
 func (t Test) OrderAssignments() [][]Order {
-	k := len(t.AnyElements())
+	k := t.AnyCount()
 	total := 1 << k
 	out := make([][]Order, 0, total)
 	for mask := 0; mask < total; mask++ {
@@ -90,24 +91,27 @@ func (t Test) OrderAssignments() [][]Order {
 // the bit-plane engine walk these; Run resolves its anyOrders itself,
 // so the differential suites compare it against independent code.
 func (t Test) ResolvedOrders() [][]Order {
-	assignments := t.OrderAssignments()
-	n := len(t.Elements)
-	// One backing array holds every resolution; each entry of
-	// assignments is replaced by its own.
-	flat := make([]Order, len(assignments)*n)
-	for i, anyOrders := range assignments {
-		orders := flat[i*n : (i+1)*n : (i+1)*n]
-		k := 0
+	total, n := 1<<t.AnyCount(), len(t.Elements)
+	// One backing array holds every resolution, filled straight from
+	// each entry's index bits.
+	flat := make([]Order, total*n)
+	out := make([][]Order, total)
+	for mask := range out {
+		orders := flat[mask*n : (mask+1)*n : (mask+1)*n]
+		b := 0
 		for j, e := range t.Elements {
 			orders[j] = e.Order
 			if e.Order == Any {
-				orders[j] = anyOrders[k]
-				k++
+				orders[j] = Up
+				if mask&(1<<b) != 0 {
+					orders[j] = Down
+				}
+				b++
 			}
 		}
-		assignments[i] = orders
+		out[mask] = orders
 	}
-	return assignments
+	return out
 }
 
 // Detects reports whether the test *guarantees* detection of the fault
