@@ -53,14 +53,15 @@ func (e *Engine) Detects(t march.Test, rows, cols int, entry march.CatalogEntry)
 	if err != nil {
 		return march.Detection{}, err
 	}
-	ts := traces(t)
-	if g.n > math.MaxInt/len(ts) {
+	walks := traces(t)
+	if g.n > math.MaxInt/len(walks) {
 		return march.Detection{}, g.errCount()
 	}
 	l := newLanes(g, g.singleCellCuts())
+	r := newSCRun(g, l, spec)
 	caught, total := 0, 0
-	for _, elems := range ts {
-		det, err := runSingle(g, l, spec, elems)
+	for _, w := range walks {
+		det, err := r.run(w)
 		if err != nil {
 			return march.Detection{}, err
 		}

@@ -37,9 +37,23 @@ type plane struct {
 	v, k []uint64
 }
 
-func newPlane(w int) plane {
-	b := make([]uint64, 2*w)
-	return plane{v: b[:w:w], k: b[w:]}
+// arena cuts a run's planes and scratch words, w words each, off the
+// front of one backing array.
+type arena struct {
+	rest []uint64
+	w    int
+}
+
+// words cuts one w-word slice.
+func (a *arena) words() []uint64 {
+	s := a.rest[:a.w:a.w]
+	a.rest = a.rest[a.w:]
+	return s
+}
+
+// plane cuts a plane's value and known words.
+func (a *arena) plane() plane {
+	return plane{v: a.words(), k: a.words()}
 }
 
 // setConst sets every lane to t (0, 1 or X).

@@ -1,19 +1,23 @@
 package bitsim
 
-import "github.com/memtest/partialfaults/internal/memsim"
+import (
+	"github.com/memtest/partialfaults/internal/march"
+	"github.com/memtest/partialfaults/internal/memsim"
+)
 
 // scRun evaluates one compiled single-cell fault over all victim lanes
-// of a lane set, for one concrete order assignment. A lane is the
-// scenario "fault at a victim of its class"; the planes hold the
-// scenario's victim-visible state. The kernels mirror memsim's hook
-// order exactly: sensitized fire hooks see the pre-operation line
-// state, the victim-history recorder sees write data / restored read
-// values, line updates follow, and state faults fire after every
-// operation period.
+// of a lane set, one order assignment per run. A lane is the scenario
+// "fault at a victim of its class"; the planes hold the scenario's
+// victim-visible state. The kernels mirror memsim's hook order exactly:
+// sensitized fire hooks see the pre-operation line state, the
+// victim-history recorder sees write data / restored read values, line
+// updates follow, and state faults fire after every operation period.
 type scRun struct {
 	g    geom
 	l    *lanes
 	spec memsim.CompiledFault
+	// buf backs every plane and word buffer below; reset zeroes it.
+	buf []uint64
 
 	// V is the victim cell; BL and IO are the floating bit-line and
 	// output-buffer values as the victim's trigger sees them.
@@ -35,31 +39,44 @@ type scRun struct {
 	t1, t2, t3, t4 []uint64
 }
 
+// newSCRun cuts a run's planes and word buffers from one backing array.
+// One run serves every order assignment of a call: run resets it first.
 func newSCRun(g geom, l *lanes, spec memsim.CompiledFault) *scRun {
-	w := l.w
-	r := &scRun{
-		g: g, l: l, spec: spec,
-		V: newPlane(w), BL: newPlane(w), IO: newPlane(w),
-		det: make([]uint64, w), out: newPlane(w),
-		t1: make([]uint64, w), t2: make([]uint64, w),
-		t3: make([]uint64, w), t4: make([]uint64, w),
+	// V, BL, IO and out, plus det and t1..t4; then the history ring and
+	// the previous-operation state where the fault needs them.
+	planes, words := 4, 5
+	if spec.Kind == memsim.TrigVictimSeq {
+		planes += len(spec.Seq)
 	}
-	r.V.setConst(memsim.X)
-	r.BL.setConst(memsim.X)
-	r.IO.setConst(memsim.X)
+	if spec.Dynamic {
+		planes, words = planes+2, words+1
+	}
+	buf := make([]uint64, (2*planes+words)*l.w)
+	a := arena{rest: buf, w: l.w}
+	r := &scRun{
+		g: g, l: l, spec: spec, buf: buf,
+		V: a.plane(), BL: a.plane(), IO: a.plane(), out: a.plane(),
+		det: a.words(), t1: a.words(), t2: a.words(), t3: a.words(), t4: a.words(),
+	}
 	if spec.Kind == memsim.TrigVictimSeq {
 		r.hist = make([]plane, len(spec.Seq))
 		for i := range r.hist {
-			r.hist[i] = newPlane(w)
-			r.hist[i].setConst(memsim.X)
+			r.hist[i] = a.plane()
 		}
 	}
 	if spec.Dynamic {
-		r.prevAt = make([]uint64, w)
-		r.prevData = newPlane(w)
-		r.prevPre = newPlane(w)
+		r.prevAt, r.prevData, r.prevPre = a.words(), a.plane(), a.plane()
 	}
 	return r
+}
+
+// reset returns the run to the state every walk starts from: every
+// plane X (a zeroed plane is X in every lane, history included), no
+// caught lane, no recorded victim operation and no previous operation.
+func (r *scRun) reset() {
+	wzero(r.buf)
+	r.histCnt = 0
+	r.prevValid, r.prevIsWrite = false, false
 }
 
 // armedNow writes the trigger's armed mask for the current hidden
@@ -309,9 +326,9 @@ func (r *scRun) victimOp(op ffOp) {
 	r.fireStatePeriod()
 }
 
-// element advances the run through one march element.
-func (r *scRun) element(e ffElem) {
-	m := r.l.masks(e.order)
+// element advances the run through one march element walked in order o.
+func (r *scRun) element(e ffElem, o march.Order) {
+	m := r.l.masks(o)
 	// Segment A: fault-free passes before the victim pass. State faults
 	// may fire at any of their operation periods; line values evolve
 	// from the end-of-previous-element planes.
@@ -334,26 +351,25 @@ func (r *scRun) element(e ffElem) {
 		// The element's globally last operation happened at the walk-last
 		// address; only that lane enters the next element with a
 		// previous-operation-at-victim record.
-		r.l.bitMask(r.g.lastAddr(e.order), r.prevAt)
+		r.l.bitMask(r.g.lastAddr(o), r.prevAt)
 	}
 }
 
-// runSingle evaluates one assignment's detection bitmap over a lane
-// set: bit i is set when the scenarios of lane i yield at least one
-// mismatch. A mask that split a class is an error.
-func runSingle(g geom, l *lanes, spec memsim.CompiledFault, elems []ffElem) ([]uint64, error) {
-	r := newSCRun(g, l, spec)
-	ffMM := false
-	for _, e := range elems {
-		r.element(e)
-		ffMM = ffMM || e.mm
+// run resets the run and evaluates one walk's detection bitmap over the
+// lane set: bit i is set when the scenarios of lane i yield at least
+// one mismatch. The bitmap is the run's own; the next run overwrites
+// it. A mask that split a class is an error.
+func (r *scRun) run(w walk) ([]uint64, error) {
+	r.reset()
+	for i, e := range w.elems {
+		r.element(e, w.orders[i])
 	}
-	if ffMM && g.n > 1 {
+	if w.mm && r.g.n > 1 {
 		// A fault-free mismatch occurs at every address; any scenario
 		// with at least one non-victim cell is caught.
 		wfill(r.det)
 	}
-	l.laneMask(r.t1)
+	r.l.laneMask(r.t1)
 	wand(r.det, r.t1)
-	return r.det, l.err
+	return r.det, r.l.err
 }

@@ -46,12 +46,14 @@ func compileTwoCell(entry march.TwoCellCatalogEntry) (tcSpec, error) {
 }
 
 // tcRun evaluates one compiled coupling fault for one aggressor offset
-// over all victim lanes of a lane set, for one order assignment.
+// over all victim lanes of a lane set, one order assignment per run.
 type tcRun struct {
 	g     geom
 	l     *lanes
 	s     tcSpec
 	delta int
+	// buf backs every plane and word buffer below; reset zeroes it.
+	buf []uint64
 
 	V, BL, IO plane
 	// lineAgg is the mediating line value as seen at aggressor
@@ -64,21 +66,27 @@ type tcRun struct {
 	t1, t2, t3, t4 []uint64
 }
 
+// newTCRun cuts a run's planes and word buffers from one backing array.
+// One run serves every order assignment of its offset: run resets it
+// first.
 func newTCRun(g geom, l *lanes, s tcSpec, delta int) *tcRun {
-	w := l.w
-	r := &tcRun{
-		g: g, l: l, s: s, delta: delta,
-		V: newPlane(w), BL: newPlane(w), IO: newPlane(w),
-		lineAgg: newPlane(w), out: newPlane(w),
-		det: make([]uint64, w), valid: make([]uint64, w),
-		t1: make([]uint64, w), t2: make([]uint64, w),
-		t3: make([]uint64, w), t4: make([]uint64, w),
+	// V, BL, IO, lineAgg and out, plus det, valid and t1..t4.
+	buf := make([]uint64, (2*5+6)*l.w)
+	a := arena{rest: buf, w: l.w}
+	return &tcRun{
+		g: g, l: l, s: s, delta: delta, buf: buf,
+		V: a.plane(), BL: a.plane(), IO: a.plane(), lineAgg: a.plane(), out: a.plane(),
+		det: a.words(), valid: a.words(),
+		t1: a.words(), t2: a.words(), t3: a.words(), t4: a.words(),
 	}
-	r.V.setConst(memsim.X)
-	r.BL.setConst(memsim.X)
-	r.IO.setConst(memsim.X)
-	l.rangeMask(-delta, g.n-delta, r.valid)
-	return r
+}
+
+// reset returns the run to the state every walk starts from: every
+// plane X (a zeroed plane is X in every lane), no caught lane, and
+// valid recomputed.
+func (r *tcRun) reset() {
+	wzero(r.buf)
+	r.l.rangeMask(-r.delta, r.g.n-r.delta, r.valid)
 }
 
 // armedNow writes the mediating-line trigger mask at the victim's
@@ -142,8 +150,8 @@ func (r *tcRun) colPredMask(o march.Order, dst []uint64) {
 
 // aggLineArrive computes the mediating line value each lane's trigger
 // sees when its aggressor's pass begins. before says whether the walk
-// visits the aggressor before the victim.
-func (r *tcRun) aggLineArrive(e ffElem, before bool) {
+// visits the aggressor before the victim in the element's order o.
+func (r *tcRun) aggLineArrive(e ffElem, o march.Order, before bool) {
 	tail := e.tail
 	d := r.delta
 	abs := d
@@ -159,7 +167,7 @@ func (r *tcRun) aggLineArrive(e ffElem, before bool) {
 			}
 			r.lineAgg.setConst(tail)
 			// The lane whose aggressor is walk-first keeps the carry.
-			r.l.bitMask(r.g.firstAddr(e.order)-d, r.t4)
+			r.l.bitMask(r.g.firstAddr(o)-d, r.t4)
 			r.lineAgg.setPlaneWhere(r.t4, r.IO)
 		} else {
 			// The victim's own pass is among the predecessors; a full
@@ -185,7 +193,7 @@ func (r *tcRun) aggLineArrive(e ffElem, before bool) {
 			r.lineAgg.setConst(tail)
 			// Lanes whose aggressor sits in the first-visited row have no
 			// column predecessor and keep the carry.
-			a, b := r.g.firstRowRange(e.order)
+			a, b := r.g.firstRowRange(o)
 			r.l.rangeMask(a-d, b-d, r.t4)
 			r.lineAgg.setPlaneWhere(r.t4, r.BL)
 		} else {
@@ -204,7 +212,7 @@ func (r *tcRun) aggLineArrive(e ffElem, before bool) {
 	if before {
 		r.lineAgg.copyFrom(r.BL)
 		if tail != memsim.X {
-			r.colPredMask(e.order, r.t4)
+			r.colPredMask(o, r.t4)
 			r.lineAgg.setConstWhere(r.t4, tail)
 		}
 	} else {
@@ -222,7 +230,7 @@ func (r *tcRun) aggLineArrive(e ffElem, before bool) {
 // aggPass runs the aggressor's pass: CFds fires at matching aggressor
 // operations, CFst checks every operation period the aggressor's value
 // changes through.
-func (r *tcRun) aggPass(e ffElem, before bool) {
+func (r *tcRun) aggPass(e ffElem, o march.Order, before bool) {
 	needDs := r.s.kind == fp.CFds && r.s.p.AggOp != nil && r.s.trig != memsim.TrigNever
 	needSt := r.s.kind == fp.CFst && r.s.trig == memsim.TrigAlways
 	if !needDs && !needSt {
@@ -230,7 +238,7 @@ func (r *tcRun) aggPass(e ffElem, before bool) {
 	}
 	lineTrig := r.s.trig == memsim.TrigBitLine || r.s.trig == memsim.TrigIO
 	if needDs && lineTrig {
-		r.aggLineArrive(e, before)
+		r.aggLineArrive(e, o, before)
 	}
 	sameCol := r.delta%r.g.cols == 0
 	if needSt && before {
@@ -309,38 +317,38 @@ func (r *tcRun) victimPass(e ffElem, aggVal int) {
 	}
 }
 
-func (r *tcRun) element(e ffElem) {
-	m := r.l.masks(e.order)
-	aggBefore := (e.order == march.Up) == (r.delta < 0)
+// element advances the run through one march element walked in order o.
+func (r *tcRun) element(e ffElem, o march.Order) {
+	m := r.l.masks(o)
+	aggBefore := (o == march.Up) == (r.delta < 0)
 	if aggBefore {
-		r.aggPass(e, true)
+		r.aggPass(e, o, true)
 		arriveLines(r.BL, r.IO, e, m, r.t1)
 		r.victimPass(e, e.ops[len(e.ops)-1].post)
 	} else {
 		r.cfstCheck(e.ops[0].pre)
 		arriveLines(r.BL, r.IO, e, m, r.t1)
 		r.victimPass(e, e.ops[0].pre)
-		r.aggPass(e, false)
+		r.aggPass(e, o, false)
 	}
 	endLines(r.BL, r.IO, e, m, r.t1)
 }
 
-// runTwoCell evaluates one (assignment, offset) detection bitmap over a
-// lane set: bit i set means the pairs (v, v+δ) of lane i were caught. A
-// mask that split a class is an error.
-func runTwoCell(g geom, l *lanes, s tcSpec, delta int, elems []ffElem) ([]uint64, error) {
-	r := newTCRun(g, l, s, delta)
-	ffMM := false
-	for _, e := range elems {
-		r.element(e)
-		ffMM = ffMM || e.mm
+// run resets the run and evaluates one walk's detection bitmap over the
+// lane set: bit i set means the pairs (v, v+δ) of lane i were caught.
+// The bitmap is the run's own; the next run overwrites it. A mask that
+// split a class is an error.
+func (r *tcRun) run(w walk) ([]uint64, error) {
+	r.reset()
+	for i, e := range w.elems {
+		r.element(e, w.orders[i])
 	}
-	if ffMM {
+	if w.mm {
 		// Pair scenarios always have a fault-free non-victim cell.
 		wfill(r.det)
 	}
 	wand(r.det, r.valid)
-	return r.det, l.err
+	return r.det, r.l.err
 }
 
 // DetectsTwoCell evaluates a two-cell catalog entry over all ordered
@@ -354,7 +362,7 @@ func (e *Engine) DetectsTwoCell(t march.Test, rows, cols int, entry march.TwoCel
 		return march.Detection{}, err
 	}
 	// Count the n(n−1) ordered pairs before building their offsets.
-	if g.n-1 > math.MaxInt/g.n || g.n*(g.n-1) > math.MaxInt/len(t.OrderAssignments()) {
+	if g.n-1 > math.MaxInt/g.n || g.n*(g.n-1) > math.MaxInt/(1<<t.AnyCount()) {
 		return march.Detection{}, g.errCount()
 	}
 	offsets := make([]int, 0, 2*(g.n-1))
@@ -388,16 +396,17 @@ func (e *Engine) detectsTwoCellOffsets(g geom, t march.Test, entry march.TwoCell
 	if len(offsets) == 0 || g.n < 2 {
 		return march.Detection{}, nil
 	}
-	ts := traces(t)
+	walks := traces(t)
 	caught, total := 0, 0
 	for _, d := range offsets {
 		pairs := max(g.n-max(d, -d), 0) // in-array pairs of offset δ
-		if pairs > (math.MaxInt-total)/len(ts) {
+		if pairs > (math.MaxInt-total)/len(walks) {
 			return march.Detection{}, g.errCount()
 		}
 		l := newLanes(g, g.twoCellCuts(d))
-		for _, elems := range ts {
-			det, err := runTwoCell(g, l, s, d, elems)
+		r := newTCRun(g, l, s, d)
+		for _, w := range walks {
+			det, err := r.run(w)
 			if err != nil {
 				return march.Detection{}, err
 			}
