@@ -43,6 +43,28 @@ func BenchmarkBitsimMarchPF(b *testing.B) {
 	b.ReportMetric(float64(det.Scenarios), "scenarios")
 }
 
+// BenchmarkBitsimCoverage is one march-bitplane benchmark repetition in
+// process: the coverage matrix of the 11 library tests × the 16 paper
+// faults, then the March SS two-cell certificate at offsets ±1 and
+// ±cols, on a 256×256 array. Its allocs/op show what the engine pays
+// per call, which the matrix makes 176 times and the certificate 44.
+func BenchmarkBitsimCoverage(b *testing.B) {
+	const rows, cols = 256, 256
+	tests, catalog, pairs := march.All(), march.PaperFaultCatalog(), march.TwoCellCatalog()
+	offsets := []int{1, -1, cols, -cols}
+	eng := bitsim.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := march.CoverageMatrixWith(eng, tests, catalog, rows, cols); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := march.TwoCellCertificateOffsetsWith(eng, march.MarchSS(), pairs, rows, cols, offsets); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMemsimMarchPF is the scalar baseline at 16×16 — the walk ×
 // victims × assignments product grows as N², which is exactly why the
 // megabit geometry above is out of the oracle's reach.

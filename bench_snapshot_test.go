@@ -37,8 +37,8 @@ type benchResult struct {
 // *.json path. The tracked set covers the performance layer's acceptance
 // benchmarks (the Table 1 pipeline, the electrical plane sweeps naive
 // versus pooled, the two per-operation unit costs, the bit-plane versus
-// scalar march engines, and the analysis service under concurrent HTTP
-// load). testing.Benchmark honours -benchtime, so CI smoke runs can
+// scalar march engines, one march-bitplane repetition, and the analysis
+// service under concurrent HTTP load). testing.Benchmark honours -benchtime, so CI smoke runs can
 // pass -benchtime 1x.
 func TestBenchSnapshot(t *testing.T) {
 	dest := os.Getenv("BENCH_SNAPSHOT")
@@ -59,6 +59,7 @@ func TestBenchSnapshot(t *testing.T) {
 		{"BenchmarkSpiceOperation", BenchmarkSpiceOperation},
 		{"BenchmarkBehavOperation", BenchmarkBehavOperation},
 		{"BenchmarkBitsimMarchPF", BenchmarkBitsimMarchPF},
+		{"BenchmarkBitsimCoverage", BenchmarkBitsimCoverage},
 		{"BenchmarkMemsimMarchPF", BenchmarkMemsimMarchPF},
 		{"BenchmarkServeLoad", BenchmarkServeLoad},
 		{"BenchmarkStressMatrix", BenchmarkStressMatrix},
