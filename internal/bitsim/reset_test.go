@@ -20,12 +20,29 @@ func runTwoCell(g geom, l *lanes, s tcSpec, delta int, w walk) ([]uint64, error)
 	return newTCRun(g, l, s, delta).run(w)
 }
 
-// libraryWalks returns every order assignment of every library test,
-// then the same walks in reverse.
+// complement returns t with every data value inverted.
+func complement(t march.Test) march.Test {
+	c := march.Test{Name: t.Name + " (complement)"}
+	for _, e := range t.Elements {
+		ops := make([]march.Op, len(e.Ops))
+		for i, op := range e.Ops {
+			ops[i] = march.Op{Read: op.Read, Data: 1 - op.Data}
+		}
+		c.Elements = append(c.Elements, march.Element{Order: e.Order, Ops: ops})
+	}
+	return c
+}
+
+// libraryWalks returns every order assignment of every library test
+// and of its complement, then the same walks in reverse. Every library
+// test starts with w0 and ends on a 0, so only a complement leaves the
+// victim history that a following test's w0, r0 completes to a stale
+// [w1 w1 w0] r0 match.
 func libraryWalks() []walk {
 	var ws []walk
 	for _, test := range march.All() {
 		ws = append(ws, traces(test)...)
+		ws = append(ws, traces(complement(test))...)
 	}
 	rev := slices.Clone(ws)
 	slices.Reverse(rev)
@@ -33,11 +50,11 @@ func libraryWalks() []walk {
 }
 
 // TestRunResetMatchesFresh: one run reused over every walk of every
-// library test, forward and reversed, gives the per-lane bitmap a fresh
-// run gives, for every single-cell entry and every supported two-cell
-// entry at offsets ±1 and ±cols. Whatever a walk leaves behind — the
-// history ring rotated, a previous operation recorded, caught lanes —
-// reset must clear.
+// library test and its complement, forward and reversed, gives the
+// per-lane bitmap a fresh run gives, for every single-cell entry and
+// every supported two-cell entry at offsets ±1 and ±cols. Whatever a
+// walk leaves behind — the history ring rotated, a previous operation
+// recorded, caught lanes — reset must clear.
 func TestRunResetMatchesFresh(t *testing.T) {
 	ws := libraryWalks()
 	sawSeq, sawDynamic := false, false

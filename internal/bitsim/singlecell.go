@@ -6,12 +6,13 @@ import (
 )
 
 // scRun evaluates one compiled single-cell fault over all victim lanes
-// of a lane set, one order assignment per run. A lane is the scenario
-// "fault at a victim of its class"; the planes hold the scenario's
-// victim-visible state. The kernels mirror memsim's hook order exactly:
-// sensitized fire hooks see the pre-operation line state, the
-// victim-history recorder sees write data / restored read values, line
-// updates follow, and state faults fire after every operation period.
+// of a lane set, one order assignment per run. A lane is the
+// scenario "fault at a victim of its class"; the planes hold the
+// scenario's victim-visible state. The kernels mirror memsim's hook
+// order exactly: sensitized fire hooks see the pre-operation line
+// state, the victim-history recorder sees write data / restored read
+// values, line updates follow, and state faults fire after every
+// operation period.
 type scRun struct {
 	g    geom
 	l    *lanes
