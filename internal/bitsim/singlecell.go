@@ -45,14 +45,14 @@ type scRun struct {
 func newSCRun(g geom, l *lanes, spec memsim.CompiledFault) *scRun {
 	// V, BL, IO and out, plus det and t1..t4; then the history ring and
 	// the previous-operation state where the fault needs them.
-	planes, words := 4, 5
+	nPlanes, nWords := 4, 5
 	if spec.Kind == memsim.TrigVictimSeq {
-		planes += len(spec.Seq)
+		nPlanes += len(spec.Seq)
 	}
 	if spec.Dynamic {
-		planes, words = planes+2, words+1
+		nPlanes, nWords = nPlanes+2, nWords+1
 	}
-	buf := make([]uint64, (2*planes+words)*l.w)
+	buf := make([]uint64, (2*nPlanes+nWords)*l.w)
 	a := arena{rest: buf, w: l.w}
 	r := &scRun{
 		g: g, l: l, spec: spec, buf: buf,
