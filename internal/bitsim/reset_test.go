@@ -129,33 +129,30 @@ func TestAllocsPerCall(t *testing.T) {
 		}
 	}
 	eng := New()
-	allocs := func(f func(march.Test) error) (float64, float64) {
+	check := func(what string, call func(march.Test) error) {
+		t.Helper()
 		count := func(test march.Test) float64 {
 			return testing.AllocsPerRun(10, func() {
-				if err := f(test); err != nil {
+				if err := call(test); err != nil {
 					t.Fatal(err)
 				}
 			})
 		}
-		return count(pf), count(up)
+		if many, one := count(pf), count(up); many > one {
+			t.Errorf("%s: %v allocations over 16 assignments, %v over one", what, many, one)
+		}
 	}
 	for _, e := range singleCatalog() {
-		many, one := allocs(func(test march.Test) error {
+		check("Detects × "+e.Name, func(test march.Test) error {
 			_, err := eng.Detects(test, rows, cols, e)
 			return err
 		})
-		if many > one {
-			t.Errorf("Detects × %s: %v allocations over 16 assignments, %v over one", e.Name, many, one)
-		}
 	}
 	offsets := []int{1, -1, cols, -cols}
 	for _, e := range march.TwoCellCatalog() {
-		many, one := allocs(func(test march.Test) error {
+		check("DetectsTwoCellOffsets × "+e.Name, func(test march.Test) error {
 			_, err := eng.DetectsTwoCellOffsets(test, rows, cols, e, offsets)
 			return err
 		})
-		if many > one {
-			t.Errorf("DetectsTwoCellOffsets × %s: %v allocations over 16 assignments, %v over one", e.Name, many, one)
-		}
 	}
 }
