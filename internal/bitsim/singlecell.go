@@ -24,9 +24,9 @@ type scRun struct {
 	// output-buffer values as the victim's trigger sees them.
 	V, BL, IO plane
 	// hist is the victim operation-value ring (TrigVictimSeq only),
-	// oldest first; histCnt counts recorded victim operations.
-	hist    []plane
-	histCnt int
+	// oldest first. It starts X, and an X slot equals no completing
+	// value, so no lane matches before len(Seq) victim operations.
+	hist []plane
 	// prev* track the globally previous operation for dynamic pairs:
 	// prevAt masks lanes whose previous operation was at their victim.
 	prevValid, prevIsWrite bool
@@ -73,10 +73,9 @@ func newSCRun(g geom, l *lanes, spec memsim.CompiledFault) *scRun {
 
 // reset returns the run to the state every walk starts from: every
 // plane X (a zeroed plane is X in every lane, history included), no
-// caught lane, no recorded victim operation and no previous operation.
+// caught lane and no previous operation.
 func (r *scRun) reset() {
 	wzero(r.buf)
-	r.histCnt = 0
 	r.prevValid, r.prevIsWrite = false, false
 }
 
@@ -101,10 +100,6 @@ func (r *scRun) armedNow(dst []uint64) {
 }
 
 func (r *scRun) histMatch(dst []uint64) {
-	if r.histCnt < len(r.spec.Seq) {
-		wzero(dst)
-		return
-	}
 	wfill(dst)
 	for i, want := range r.spec.Seq {
 		r.hist[i].eq(want, r.t4)
@@ -120,7 +115,6 @@ func (r *scRun) pushHist(record func(plane)) {
 	copy(r.hist, r.hist[1:])
 	r.hist[len(r.hist)-1] = h0
 	record(h0)
-	r.histCnt++
 }
 
 // initSat writes the victim-state precondition mask.
