@@ -7,20 +7,23 @@ import (
 	"github.com/memtest/partialfaults/internal/memsim"
 )
 
-// DetectsTwoCell reports whether the test guarantees detection of a
-// coupling fault family: for every distinct (victim, aggressor) pair in
-// a rows×cols array and every ⇕-order assignment, the test run yields at
-// least one mismatch.
-func DetectsTwoCell(t Test, rows, cols int, p fp.TwoCellFP) (bool, int, int, error) {
-	return detectsTwoCell(t, rows, cols, func(victim, aggressor int) memsim.TwoCellFault {
-		return memsim.TwoCellFault{Victim: victim, Aggressor: aggressor, FP: p}
-	})
-}
-
-// DetectsTwoCellEntry is DetectsTwoCell for a full catalog entry,
-// injecting partial coupling faults with their mediating floating line.
+// DetectsTwoCellEntry reports whether the test guarantees detection of
+// a two-cell catalog entry: for every distinct (victim, aggressor) pair
+// in a rows×cols array and every ⇕-order assignment, the test run
+// yields at least one mismatch. Partial coupling faults are injected
+// with their mediating floating line.
 func DetectsTwoCellEntry(t Test, rows, cols int, e TwoCellCatalogEntry) (bool, int, int, error) {
-	return detectsTwoCell(t, rows, cols, e.Make)
+	return detectsTwoCellPairs(t, rows, cols, e.Make, func(n int) [][2]int {
+		pairs := make([][2]int, 0, n*(n-1))
+		for victim := 0; victim < n; victim++ {
+			for aggressor := 0; aggressor < n; aggressor++ {
+				if victim != aggressor {
+					pairs = append(pairs, [2]int{victim, aggressor})
+				}
+			}
+		}
+		return pairs
+	})
 }
 
 // DetectsTwoCellEntryOffsets is DetectsTwoCellEntry restricted to the
@@ -65,20 +68,6 @@ func CheckOffsets(offsets []int) error {
 	return nil
 }
 
-func detectsTwoCell(t Test, rows, cols int, build func(victim, aggressor int) memsim.TwoCellFault) (bool, int, int, error) {
-	return detectsTwoCellPairs(t, rows, cols, build, func(n int) [][2]int {
-		pairs := make([][2]int, 0, n*(n-1))
-		for victim := 0; victim < n; victim++ {
-			for aggressor := 0; aggressor < n; aggressor++ {
-				if victim != aggressor {
-					pairs = append(pairs, [2]int{victim, aggressor})
-				}
-			}
-		}
-		return pairs
-	})
-}
-
 func detectsTwoCellPairs(t Test, rows, cols int, build func(victim, aggressor int) memsim.TwoCellFault, enumerate func(n int) [][2]int) (bool, int, int, error) {
 	if err := t.Validate(); err != nil {
 		return false, 0, 0, err
@@ -106,15 +95,6 @@ func detectsTwoCellPairs(t Test, rows, cols int, build func(victim, aggressor in
 		}
 	}
 	return caught == total && total > 0, caught, total, nil
-}
-
-// TwoCellCoverage summarizes a test's guaranteed coverage of the full
-// static two-cell FP space, grouped by coupling-fault class.
-type TwoCellCoverage struct {
-	// Detected and Total count FPs per class.
-	Detected, Total map[fp.CFKind]int
-	// DetectedAll is the number of FPs detected out of the 36.
-	DetectedAll int
 }
 
 // TwoCellCertRow records one catalog entry's verdict in a coverage
@@ -163,25 +143,4 @@ func (c TwoCellCertificate) Violations() []TwoCellCertRow {
 		}
 	}
 	return out
-}
-
-// EvaluateTwoCellCoverage runs a test against all 36 static two-cell FPs.
-func EvaluateTwoCellCoverage(t Test, rows, cols int) (TwoCellCoverage, error) {
-	cov := TwoCellCoverage{
-		Detected: map[fp.CFKind]int{},
-		Total:    map[fp.CFKind]int{},
-	}
-	for _, p := range fp.EnumerateTwoCellStaticFPs() {
-		kind := p.Classify()
-		cov.Total[kind]++
-		det, _, _, err := DetectsTwoCell(t, rows, cols, p)
-		if err != nil {
-			return cov, err
-		}
-		if det {
-			cov.Detected[kind]++
-			cov.DetectedAll++
-		}
-	}
-	return cov, nil
 }

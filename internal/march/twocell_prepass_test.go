@@ -109,7 +109,7 @@ func TestCannotCompleteTwoCellPositiveControls(t *testing.T) {
 		if e.Partial {
 			continue
 		}
-		det, _, _, err := DetectsTwoCell(MarchCMinus(), 2, 2, e.FP)
+		det, _, _, err := DetectsTwoCellEntry(MarchCMinus(), 2, 2, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,16 +7,36 @@ import (
 	"github.com/memtest/partialfaults/internal/memsim"
 )
 
+// classicalTwoCellRows returns the rows of tst's two-cell certificate on
+// a 2×2 array for the classical static FPs, the catalog's first 36
+// entries, evaluated by the scalar engine.
+func classicalTwoCellRows(t *testing.T, tst Test) []TwoCellCertRow {
+	t.Helper()
+	catalog := TwoCellCatalog()[:fp.CountTwoCellStaticFPs()]
+	cert, err := TwoCellCertificateOffsetsWith(ScalarEngine{}, tst, catalog, 2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cert.Entries {
+		if r.Partial {
+			t.Fatalf("%s: a partial entry among the classical rows", r.Entry)
+		}
+	}
+	return cert.Entries
+}
+
 // TestMarchSSDetectsAllTwoCellStaticFaults validates the functional
 // simulator against March SS's published property: it detects all 36
 // static two-cell FPs (the full simple-static coupling space).
 func TestMarchSSDetectsAllTwoCellStaticFaults(t *testing.T) {
-	cov, err := EvaluateTwoCellCoverage(MarchSS(), 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	detected := 0
+	for _, r := range classicalTwoCellRows(t, MarchSS()) {
+		if r.Detected {
+			detected++
+		}
 	}
-	if cov.DetectedAll != 36 {
-		t.Errorf("March SS detects %d/36 two-cell FPs, want 36", cov.DetectedAll)
+	if detected != 36 {
+		t.Errorf("March SS detects %d/36 two-cell FPs, want 36", detected)
 	}
 }
 
@@ -25,21 +45,26 @@ func TestMarchSSDetectsAllTwoCellStaticFaults(t *testing.T) {
 // but no CFwd/CFdr (they need same-address write-read / read-read pairs)
 // and no non-transition-write CFds.
 func TestMarchCMinusTwoCellCoverage(t *testing.T) {
-	cov, err := EvaluateTwoCellCoverage(MarchCMinus(), 2, 2)
-	if err != nil {
-		t.Fatal(err)
+	detected, total := map[fp.CFKind]int{}, map[fp.CFKind]int{}
+	all := 0
+	for _, r := range classicalTwoCellRows(t, MarchCMinus()) {
+		total[r.Class]++
+		if r.Detected {
+			detected[r.Class]++
+			all++
+		}
 	}
 	want := map[fp.CFKind]int{
 		fp.CFst: 4, fp.CFds: 8, fp.CFtr: 4, fp.CFwd: 0,
 		fp.CFrd: 4, fp.CFdr: 0, fp.CFir: 4,
 	}
 	for k, n := range want {
-		if cov.Detected[k] != n {
-			t.Errorf("March C- detects %d/%d %s, want %d", cov.Detected[k], cov.Total[k], k, n)
+		if detected[k] != n {
+			t.Errorf("March C- detects %d/%d %s, want %d", detected[k], total[k], k, n)
 		}
 	}
-	if cov.DetectedAll != 24 {
-		t.Errorf("March C- total = %d/36, want 24", cov.DetectedAll)
+	if all != 24 {
+		t.Errorf("March C- total = %d/36, want 24", all)
 	}
 }
 
@@ -116,7 +141,7 @@ func TestDetectsTwoCellCounts(t *testing.T) {
 	// A 2×2 array has 4·3 = 12 ordered pairs; MATS+ has 2 order
 	// assignments → 24 scenarios.
 	p := fp.TwoCellFP{AggState: 1, VictimState: 0, F: 1}
-	_, _, total, err := DetectsTwoCell(MATSPlus(), 2, 2, p)
+	_, _, total, err := DetectsTwoCellEntry(MATSPlus(), 2, 2, TwoCellCatalogEntry{FP: p})
 	if err != nil {
 		t.Fatal(err)
 	}
