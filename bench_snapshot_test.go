@@ -12,16 +12,19 @@ import (
 // benchSnapshot is the schema of the committed BENCH_*.json files: one
 // record per tracked benchmark with the wall-clock cost, the heap
 // allocations per op (testing.Benchmark always measures them) and the
-// custom metrics it reports. Snapshots committed across PRs record the perf
-// trajectory of the sweep pipeline; compare like with like — the files
-// also record the host, and the repo's history spans machines.
+// custom metrics it reports, plus the Go release and GOMAXPROCS the
+// allocation counts depend on. cmd/benchdiff gates a fresh snapshot on
+// the allocation counts of the committed baseline,
+// bench/BENCH_<date>-allocs.json; the times are information only, since
+// the benchmark/ module owns every time claim.
 type benchSnapshot struct {
-	Date      string                 `json:"date"`
-	GoVersion string                 `json:"go_version"`
-	GOOS      string                 `json:"goos"`
-	GOARCH    string                 `json:"goarch"`
-	NumCPU    int                    `json:"num_cpu"`
-	Results   map[string]benchResult `json:"results"`
+	Date       string                 `json:"date"`
+	GoVersion  string                 `json:"go_version"`
+	GOOS       string                 `json:"goos"`
+	GOARCH     string                 `json:"goarch"`
+	NumCPU     int                    `json:"num_cpu"`
+	GOMAXPROCS int                    `json:"gomaxprocs"`
+	Results    map[string]benchResult `json:"results"`
 }
 
 type benchResult struct {
@@ -32,21 +35,21 @@ type benchResult struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// TestBenchSnapshot records a benchmark snapshot when BENCH_SNAPSHOT is
-// set — to "1" for the date-stamped default filename, or to an explicit
-// *.json path. The tracked set covers the performance layer's acceptance
-// benchmarks (the Table 1 pipeline, the electrical plane sweeps naive
-// versus pooled, the two per-operation unit costs, the bit-plane versus
-// scalar march engines, one march-bitplane repetition, and the analysis
-// service under concurrent HTTP load). testing.Benchmark honours -benchtime, so CI smoke runs can
-// pass -benchtime 1x.
+// TestBenchSnapshot records a benchmark snapshot to the *.json path
+// BENCH_SNAPSHOT names. The tracked set covers the performance layer's
+// acceptance benchmarks (the Table 1 pipeline, the electrical plane
+// sweeps naive versus pooled, the two per-operation unit costs, the
+// bit-plane versus scalar march engines, one march-bitplane repetition,
+// and the analysis service under concurrent HTTP load).
+// testing.Benchmark honours -benchtime; CI records at -benchtime 5x with
+// GOMAXPROCS=2, the settings of the committed baseline.
 func TestBenchSnapshot(t *testing.T) {
 	dest := os.Getenv("BENCH_SNAPSHOT")
 	if dest == "" {
-		t.Skip("set BENCH_SNAPSHOT=1 (or a target *.json path) to record a benchmark snapshot")
+		t.Skip("set BENCH_SNAPSHOT to a target *.json path to record a benchmark snapshot")
 	}
 	if !strings.HasSuffix(dest, ".json") {
-		dest = "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
+		t.Fatalf("BENCH_SNAPSHOT=%q: name the *.json path to write", dest)
 	}
 	tracked := []struct {
 		name string
@@ -65,12 +68,13 @@ func TestBenchSnapshot(t *testing.T) {
 		{"BenchmarkStressMatrix", BenchmarkStressMatrix},
 	}
 	snap := benchSnapshot{
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Results:   map[string]benchResult{},
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Results:    map[string]benchResult{},
 	}
 	for _, tb := range tracked {
 		r := testing.Benchmark(tb.fn)

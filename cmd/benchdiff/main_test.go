@@ -22,14 +22,28 @@ func writeSnap(t *testing.T, name string, s snapshot) string {
 	return path
 }
 
+func count(n int64) *int64 { return &n }
+
+// baseSnap holds a serial benchmark at BenchmarkBitsimMarchPF's 22
+// allocs/op and a pooled one at BenchmarkStressMatrix's 54 634.
 func baseSnap() snapshot {
 	return snapshot{
-		GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", NumCPU: 4,
+		GoVersion: "go1.24.0", GOMAXPROCS: 2,
 		Results: map[string]result{
-			"BenchmarkFast": {Iterations: 100, NsPerOp: 1e6},
-			"BenchmarkSlow": {Iterations: 10, NsPerOp: 5e8, Metrics: map[string]float64{"completed": 34}},
+			"BenchmarkFast": {NsPerOp: 1e6, AllocsPerOp: count(22), BytesPerOp: count(4536)},
+			"BenchmarkSlow": {NsPerOp: 5e8, AllocsPerOp: count(54634), BytesPerOp: count(9e6),
+				Metrics: map[string]float64{"completed": 34}},
 		},
 	}
+}
+
+// withAllocs returns baseSnap with one benchmark's allocs/op replaced.
+func withAllocs(name string, allocs int64) snapshot {
+	s := baseSnap()
+	r := s.Results[name]
+	r.AllocsPerOp = count(allocs)
+	s.Results[name] = r
+	return s
 }
 
 func TestIdenticalSnapshotsPass(t *testing.T) {
@@ -38,83 +52,88 @@ func TestIdenticalSnapshotsPass(t *testing.T) {
 	if code := run([]string{p, p}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "no regression") {
+	if !strings.Contains(out.String(), "no allocation regression") {
 		t.Errorf("missing ok line:\n%s", out.String())
 	}
 }
 
-func TestRegressionBeyondBandFails(t *testing.T) {
+// Below 500 allocs/op the allowance OLD/500 is zero: one extra
+// allocation on a 22-alloc benchmark fails.
+func TestOneExtraAllocFails(t *testing.T) {
 	old := writeSnap(t, "old.json", baseSnap())
-	slowed := baseSnap()
-	slowed.Results["BenchmarkFast"] = result{Iterations: 100, NsPerOp: 1.5e6} // +50%
-	nw := writeSnap(t, "new.json", slowed)
+	nw := writeSnap(t, "new.json", withAllocs("BenchmarkFast", 23))
 	var out, errOut strings.Builder
 	if code := run([]string{old, nw}, &out, &errOut); code != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("missing REGRESSION marker:\n%s", out.String())
-	}
-	// A wider band absorbs the same slowdown as noise.
-	out.Reset()
-	if code := run([]string{"-threshold", "0.6", old, nw}, &out, &errOut); code != 0 {
-		t.Fatalf("exit with -threshold 0.6 = %d, want 0\n%s", code, out.String())
+	if !strings.Contains(out.String(), "22           23       +0  REGRESSION") {
+		t.Errorf("the BenchmarkFast line should show 22 -> 23 against +0 and fail:\n%s", out.String())
 	}
 }
 
+// On 54 634 allocs/op the allowance is 54 634/500 = 109: +109 passes
+// and +110 fails.
+func TestRegressionBeyondBandFails(t *testing.T) {
+	old := writeSnap(t, "old.json", baseSnap())
+	for _, tc := range []struct {
+		allocs int64
+		want   int
+	}{
+		{54634 + 109, 0},
+		{54634 + 110, 1},
+	} {
+		nw := writeSnap(t, "new.json", withAllocs("BenchmarkSlow", tc.allocs))
+		var out, errOut strings.Builder
+		if code := run([]string{old, nw}, &out, &errOut); code != tc.want {
+			t.Fatalf("%d allocs/op: exit = %d, want %d\n%s", tc.allocs, code, tc.want, out.String())
+		}
+		if marked := strings.Contains(out.String(), "REGRESSION"); marked != (tc.want == 1) {
+			t.Errorf("%d allocs/op: REGRESSION marker = %v:\n%s", tc.allocs, marked, out.String())
+		}
+	}
+}
+
+// Wall-clock time and bytes per op print but never gate, nor does
+// custom-metric drift.
 func TestSpeedupAndMetricDriftPass(t *testing.T) {
 	old := writeSnap(t, "old.json", baseSnap())
-	faster := baseSnap()
-	faster.Results["BenchmarkSlow"] = result{Iterations: 20, NsPerOp: 2e8, Metrics: map[string]float64{"completed": 35}}
-	nw := writeSnap(t, "new.json", faster)
-	var out, errOut strings.Builder
-	if code := run([]string{old, nw}, &out, &errOut); code != 0 {
-		t.Fatalf("exit = %d, want 0\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "metric completed: 34 -> 35") {
-		t.Errorf("metric drift not reported:\n%s", out.String())
-	}
-}
-
-func TestHostMismatchNeedsForce(t *testing.T) {
-	old := writeSnap(t, "old.json", baseSnap())
-	other := baseSnap()
-	other.NumCPU = 96
-	other.Results["BenchmarkFast"] = result{Iterations: 100, NsPerOp: 9e6}
-	nw := writeSnap(t, "new.json", other)
-	var out, errOut strings.Builder
-	if code := run([]string{old, nw}, &out, &errOut); code != 2 {
-		t.Fatalf("exit = %d, want 2 on host mismatch", code)
-	}
-	if !strings.Contains(errOut.String(), "host mismatch") {
-		t.Errorf("stderr should explain the mismatch:\n%s", errOut.String())
-	}
-	// -force compares informationally: the cross-host slowdown is shown
-	// but must not fail the run.
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-force", old, nw}, &out, &errOut); code != 0 {
-		t.Fatalf("exit with -force = %d, want 0\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("-force should still show the delta marker:\n%s", out.String())
-	}
-}
-
-func TestMissingAndNewBenchmarksAreListed(t *testing.T) {
-	old := writeSnap(t, "old.json", baseSnap())
 	changed := baseSnap()
-	delete(changed.Results, "BenchmarkSlow")
-	changed.Results["BenchmarkAdded"] = result{Iterations: 5, NsPerOp: 1e7}
+	changed.Results["BenchmarkFast"] = result{NsPerOp: 3e6, AllocsPerOp: count(22), BytesPerOp: count(9072)}
+	changed.Results["BenchmarkSlow"] = result{NsPerOp: 2e8, AllocsPerOp: count(54634), BytesPerOp: count(9e6),
+		Metrics: map[string]float64{"completed": 35}}
 	nw := writeSnap(t, "new.json", changed)
 	var out, errOut strings.Builder
 	if code := run([]string{old, nw}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, out.String())
 	}
-	for _, want := range []string{"new", "gone"} {
+	for _, want := range []string{"ms/op: 1.000 -> 3.000", "B/op: 4536 -> 9072", "ms/op: 500.000 -> 200.000", "metric completed: 34 -> 35"} {
 		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q column:\n%s", want, out.String())
+			t.Errorf("output lacks %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// A benchmark of OLD missing from NEW fails; one only NEW has is listed
+// and passes.
+func TestMissingAndNewBenchmarksAreListed(t *testing.T) {
+	old := writeSnap(t, "old.json", baseSnap())
+	added := baseSnap()
+	added.Results["BenchmarkAdded"] = result{NsPerOp: 1e7, AllocsPerOp: count(7)}
+	var out, errOut strings.Builder
+	if code := run([]string{old, writeSnap(t, "added.json", added)}, &out, &errOut); code != 0 {
+		t.Fatalf("an added benchmark: exit = %d, want 0\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "new") {
+		t.Errorf("output should list the added benchmark as new:\n%s", out.String())
+	}
+
+	delete(added.Results, "BenchmarkSlow")
+	out.Reset()
+	if code := run([]string{old, writeSnap(t, "gone.json", added)}, &out, &errOut); code != 1 {
+		t.Fatalf("a benchmark missing from NEW: exit = %d, want 1\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "MISSING") {
+		t.Errorf("output should mark the missing benchmark:\n%s", out.String())
 	}
 }
 
@@ -126,18 +145,59 @@ func TestUsageAndBadInputExitTwo(t *testing.T) {
 	if code := run([]string{"nope.json", "nope.json"}, &out, &errOut); code != 2 {
 		t.Errorf("exit with missing file = %d, want 2", code)
 	}
-	empty := writeSnap(t, "empty.json", snapshot{GOOS: "linux"})
+	empty := writeSnap(t, "empty.json", snapshot{GoVersion: "go1.24.0"})
 	if code := run([]string{empty, empty}, &out, &errOut); code != 2 {
 		t.Errorf("exit with empty results = %d, want 2", code)
 	}
+	// benchdiff takes no flags.
+	p := writeSnap(t, "a.json", baseSnap())
+	if code := run([]string{"-threshold", "0.5", p, p}, &out, &errOut); code != 2 {
+		t.Errorf("exit with a flag = %d, want 2", code)
+	}
 }
 
-// The committed repository snapshot must stay loadable and self-compare
-// clean — the exact invocation CI smokes.
+// A snapshot written before the schema carried allocation counts cannot
+// be gated, on either side.
+func TestSnapshotWithoutAllocsExitsTwo(t *testing.T) {
+	counted := writeSnap(t, "counted.json", baseSnap())
+	bare := baseSnap()
+	bare.Results["BenchmarkFast"] = result{NsPerOp: 1e6}
+	uncounted := writeSnap(t, "uncounted.json", bare)
+	for _, args := range [][]string{{uncounted, counted}, {counted, uncounted}} {
+		var out, errOut strings.Builder
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("%v: exit = %d, want 2\n%s", args, code, out.String())
+		}
+		if !strings.Contains(errOut.String(), "BenchmarkFast has no allocation count") {
+			t.Errorf("stderr should name the benchmark without a count:\n%s", errOut.String())
+		}
+	}
+}
+
+// Allocation counts compare only at one Go release and one GOMAXPROCS.
+func TestToolchainMismatchExitsTwo(t *testing.T) {
+	old := writeSnap(t, "old.json", baseSnap())
+	release := baseSnap()
+	release.GoVersion = "go1.25.0"
+	procs := baseSnap()
+	procs.GOMAXPROCS = 4
+	for _, s := range []snapshot{release, procs} {
+		var out, errOut strings.Builder
+		if code := run([]string{old, writeSnap(t, "new.json", s)}, &out, &errOut); code != 2 {
+			t.Fatalf("%s GOMAXPROCS=%d: exit = %d, want 2", s.GoVersion, s.GOMAXPROCS, code)
+		}
+		if !strings.Contains(errOut.String(), "go1.24.0 GOMAXPROCS=2 vs "+fmt.Sprintf("%s GOMAXPROCS=%d", s.GoVersion, s.GOMAXPROCS)) {
+			t.Errorf("stderr should show both toolchains:\n%s", errOut.String())
+		}
+	}
+}
+
+// The committed allocation baseline must stay loadable and self-compare
+// clean; CI gates every fresh snapshot against it.
 func TestCommittedSnapshotSelfCompares(t *testing.T) {
-	matches, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
-	if err != nil || len(matches) == 0 {
-		t.Skip("no committed BENCH_*.json snapshot")
+	matches, err := filepath.Glob(filepath.Join("..", "..", "bench", "BENCH_*-allocs.json"))
+	if err != nil || len(matches) != 1 {
+		t.Fatalf("want one committed bench/BENCH_*-allocs.json baseline, found %v (%v)", matches, err)
 	}
 	var out, errOut strings.Builder
 	if code := run([]string{matches[0], matches[0]}, &out, &errOut); code != 0 {
@@ -145,146 +205,13 @@ func TestCommittedSnapshotSelfCompares(t *testing.T) {
 	}
 }
 
-// writeHistory commits n same-host history snapshots into one dir with
-// BenchmarkFast sampled at the given ns/op values.
-func writeHistory(t *testing.T, fastNs []float64) string {
-	t.Helper()
-	dir := t.TempDir()
-	for i, ns := range fastNs {
-		s := baseSnap()
-		s.Results["BenchmarkFast"] = result{Iterations: 100, NsPerOp: ns}
-		buf, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("BENCH_%03d.json", i)), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return filepath.Join(dir, "BENCH_*.json")
-}
-
-// A quiet benchmark's history tightens its band below the flat ratio:
-// a +10% slowdown passes the default 15% threshold but fails against
-// the ~5% band three sigma of its own variance derives.
-func TestHistoryTightensBand(t *testing.T) {
-	old := writeSnap(t, "old.json", baseSnap())
-	slowed := baseSnap()
-	slowed.Results["BenchmarkFast"] = result{Iterations: 100, NsPerOp: 1.1e6} // +10%
-	nw := writeSnap(t, "new.json", slowed)
-	glob := writeHistory(t, []float64{1.00e6, 1.02e6, 0.98e6, 1.00e6}) // 3σ/µ ≈ 4.9%
-
-	var out, errOut strings.Builder
-	if code := run([]string{old, nw}, &out, &errOut); code != 0 {
-		t.Fatalf("flat threshold should absorb +10%%: exit %d\n%s", code, out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-history", glob, old, nw}, &out, &errOut); code != 1 {
-		t.Fatalf("history band should flag +10%% on a quiet benchmark: exit %d\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION (band") {
-		t.Errorf("regression line should name the derived band:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "noise bands from 4 same-host history snapshots") {
-		t.Errorf("band provenance line missing:\n%s", out.String())
-	}
-}
-
-// A noisy benchmark's history widens its band beyond the flat ratio:
-// the same +25% slowdown that fails the default threshold is absorbed
-// when the benchmark's own variance says it is noise.
-func TestHistoryWidensBand(t *testing.T) {
-	old := writeSnap(t, "old.json", baseSnap())
-	slowed := baseSnap()
-	slowed.Results["BenchmarkFast"] = result{Iterations: 100, NsPerOp: 1.25e6} // +25%
-	nw := writeSnap(t, "new.json", slowed)
-	glob := writeHistory(t, []float64{1.0e6, 1.3e6, 0.7e6, 1.15e6, 0.85e6}) // 3σ/µ ≈ 72%
-
-	var out, errOut strings.Builder
-	if code := run([]string{old, nw}, &out, &errOut); code != 1 {
-		t.Fatalf("flat threshold should flag +25%%: exit %d\n%s", code, out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-history", glob, old, nw}, &out, &errOut); code != 0 {
-		t.Fatalf("history band should absorb +25%% on a noisy benchmark: exit %d\n%s", code, out.String())
-	}
-}
-
-// With fewer than three same-host samples the flat ratio still governs,
-// and snapshots from other hosts never contribute to a band.
-func TestHistoryFallbackAndHostFilter(t *testing.T) {
-	old := writeSnap(t, "old.json", baseSnap())
-	slowed := baseSnap()
-	slowed.Results["BenchmarkFast"] = result{Iterations: 100, NsPerOp: 1.1e6} // +10%
-	nw := writeSnap(t, "new.json", slowed)
-
-	// Two same-host samples: below the minimum, flat 15% applies, +10% passes.
-	glob := writeHistory(t, []float64{1.0e6, 1.0e6})
-	var out, errOut strings.Builder
-	if code := run([]string{"-history", glob, old, nw}, &out, &errOut); code != 0 {
-		t.Fatalf("two samples must fall back to the flat ratio: exit %d\n%s", code, out.String())
-	}
-
-	// Four foreign-host samples: filtered out entirely, flat ratio again.
-	dir := t.TempDir()
-	for i := 0; i < 4; i++ {
-		s := baseSnap()
-		s.NumCPU = 96
-		s.Results["BenchmarkFast"] = result{Iterations: 100, NsPerOp: 1e6}
-		buf, _ := json.Marshal(s)
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", i)), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out.Reset()
-	if code := run([]string{"-history", filepath.Join(dir, "BENCH_*.json"), old, nw}, &out, &errOut); code != 0 {
-		t.Fatalf("foreign-host history must not band: exit %d\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "0 benchmarks banded") {
-		t.Errorf("provenance should show zero banded benchmarks:\n%s", out.String())
-	}
-
-	// An unreadable history file is a hard error: exit 2.
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_bad.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := run([]string{"-history", filepath.Join(dir, "BENCH_*.json"), old, nw}, &out, &errOut); code != 2 {
-		t.Fatalf("corrupt history file must exit 2, got %d", code)
-	}
-}
-
-// noiseBands itself: quiet benchmarks floor at minBand, the sample
-// standard deviation (n-1) is used, and <3 samples yield no band.
-func TestNoiseBands(t *testing.T) {
-	mk := func(ns float64) snapshot {
-		return snapshot{GOOS: "linux", GOARCH: "amd64", NumCPU: 4,
-			Results: map[string]result{"B": {NsPerOp: ns}}}
-	}
-	// Identical samples: σ=0 → floored at minBand.
-	bands := noiseBands([]snapshot{mk(1e6), mk(1e6), mk(1e6)})
-	if got := bands["B"]; got != minBand {
-		t.Errorf("zero-variance band = %g, want floor %g", got, minBand)
-	}
-	// Hand-computed: samples 9e5,1e6,1.1e6 → µ=1e6, σ=1e5 → 3σ/µ=0.3.
-	bands = noiseBands([]snapshot{mk(9e5), mk(1e6), mk(1.1e6)})
-	if got := bands["B"]; got < 0.2999 || got > 0.3001 {
-		t.Errorf("band = %g, want 0.3", got)
-	}
-	// Two samples: no band.
-	if bands := noiseBands([]snapshot{mk(1e6), mk(2e6)}); len(bands) != 0 {
-		t.Errorf("two samples must not band: %v", bands)
-	}
-}
-
 // The snapshot writer records allocs_per_op and bytes_per_op, zero
-// included. benchdiff reads them back and prints old -> new whichever
-// way they move, without failing on them, and prints nothing for a
-// snapshot written before the schema carried them.
+// included. benchdiff reads zeros back as present counts: a count that
+// falls to zero passes, and a zero baseline allows no allocation.
 func TestAllocsRoundTrip(t *testing.T) {
 	// The writer's encoding (benchResult in bench_snapshot_test.go).
 	written := func(allocs, bytes int) string {
-		return fmt.Sprintf(`{"goos":"linux","goarch":"amd64","num_cpu":4,"results":{"BenchmarkFast":`+
+		return fmt.Sprintf(`{"go_version":"go1.24.0","gomaxprocs":2,"results":{"BenchmarkFast":`+
 			`{"iterations":100,"ns_per_op":1000000,"allocs_per_op":%d,"bytes_per_op":%d}}}`, allocs, bytes)
 	}
 	dir := t.TempDir()
@@ -313,25 +240,20 @@ func TestAllocsRoundTrip(t *testing.T) {
 		t.Errorf("re-encoding dropped the zero counts: %s", buf)
 	}
 
-	for _, tc := range []struct{ old, new, want string }{
-		{before, after, "allocs/op: 12 -> 0\n  B/op: 4096 -> 0"},
-		{after, before, "allocs/op: 0 -> 12\n  B/op: 0 -> 4096"},
+	for _, tc := range []struct {
+		old, new string
+		code     int
+		want     string
+	}{
+		{before, after, 0, "12            0       +0\n  ms/op: 1.000 -> 1.000\n  B/op: 4096 -> 0"},
+		{after, before, 1, "0           12       +0  REGRESSION\n  ms/op: 1.000 -> 1.000\n  B/op: 0 -> 4096"},
 	} {
 		var out, errOut strings.Builder
-		if code := run([]string{tc.old, tc.new}, &out, &errOut); code != 0 {
-			t.Fatalf("exit = %d, want 0 (allocations do not gate)\n%s", code, out.String())
+		if code := run([]string{tc.old, tc.new}, &out, &errOut); code != tc.code {
+			t.Fatalf("exit = %d, want %d\n%s", code, tc.code, out.String())
 		}
 		if !strings.Contains(out.String(), tc.want) {
 			t.Errorf("output lacks %q:\n%s", tc.want, out.String())
 		}
-	}
-
-	legacy := writeSnap(t, "legacy.json", baseSnap())
-	var out, errOut strings.Builder
-	if code := run([]string{legacy, after}, &out, &errOut); code != 0 {
-		t.Fatalf("exit = %d, want 0\n%s", code, out.String())
-	}
-	if strings.Contains(out.String(), "allocs/op") || strings.Contains(out.String(), "B/op") {
-		t.Errorf("a snapshot without allocation counts must print none:\n%s", out.String())
 	}
 }
