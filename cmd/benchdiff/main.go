@@ -75,22 +75,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	names := map[string]bool{}
-	for n := range oldSnap.Results {
-		names[n] = true
-	}
-	for n := range newSnap.Results {
-		names[n] = true
-	}
-	order := make([]string, 0, len(names))
-	for n := range names {
-		order = append(order, n)
-	}
-	sort.Strings(order)
-
 	fmt.Fprintf(stdout, "%-42s %12s %12s %8s\n", "benchmark", "old allocs", "new allocs", "allowed")
 	failed := 0
-	for _, n := range order {
+	for _, n := range sortedKeys(oldSnap.Results, newSnap.Results) {
 		o, haveOld := oldSnap.Results[n]
 		nw, haveNew := newSnap.Results[n]
 		switch {
@@ -152,7 +139,8 @@ func load(path string) (snapshot, error) {
 	return s, nil
 }
 
-func sortedKeys(ms ...map[string]float64) []string {
+// sortedKeys returns the union of the maps' keys in sorted order.
+func sortedKeys[V any](ms ...map[string]V) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, m := range ms {
