@@ -14,9 +14,9 @@ import (
 // allocations per op (testing.Benchmark always measures them) and the
 // custom metrics it reports, plus the Go release and GOMAXPROCS the
 // allocation counts depend on. cmd/benchdiff gates a fresh snapshot on
-// the allocation counts of the committed baseline,
-// bench/BENCH_<date>-allocs.json; the times are information only, since
-// the benchmark/ module owns every time claim.
+// the allocation counts of the committed baseline, bench/BENCH_allocs.json;
+// the times are information only, since the benchmark/ module owns every
+// time claim.
 type benchSnapshot struct {
 	Date       string                 `json:"date"`
 	GoVersion  string                 `json:"go_version"`

@@ -6,18 +6,21 @@
 //	benchdiff OLD.json NEW.json
 //
 // Both files are snapshots written by TestBenchSnapshot. A benchmark
-// fails when its allocs/op in NEW exceeds OLD's by more than OLD/500
-// (integer division): counts below 500 must match exactly, and the 0.2%
-// covers the run-to-run jitter of the pooled benchmarks. A benchmark of
-// OLD missing from NEW fails too. Allocation counts repeat from run to
-// run and host to host only at one Go release (escape analysis changes
-// between releases) and one GOMAXPROCS (the pools size themselves by
-// it), so the two snapshots must agree on both. ns/op, B/op and custom
-// metrics print as information only: wall-clock times move with the
-// host and its load, and the benchmark/ module owns every time claim.
+// fails when its allocs/op in NEW differs from OLD's by more than OLD/200
+// (integer division) either way: counts below 200 must match exactly,
+// and the 0.5% covers the run-to-run jitter of the pooled and served
+// benchmarks. A count above the allowance is a regression; one below it
+// means the code allocates less and OLD must be recorded again, so that
+// the saving cannot be spent unnoticed later. A benchmark of OLD missing
+// from NEW fails too. Allocation counts repeat from run to run and host
+// to host only at one Go release (escape analysis changes between
+// releases) and one GOMAXPROCS (the pools size themselves by it), so the
+// two snapshots must agree on both. ns/op, B/op and custom metrics print
+// as information only: wall-clock times move with the host and its
+// load, and the benchmark/ module owns every time claim.
 //
-// Exit codes: 0 no benchmark allocates beyond its allowance, 1 a
-// benchmark does or is missing from NEW, 2 a usage or IO error, a
+// Exit codes: 0 every count is within its allowance of OLD's, 1 a count
+// is not or a benchmark is missing from NEW, 2 a usage or IO error, a
 // snapshot without allocation counts, or a Go version or GOMAXPROCS
 // mismatch.
 package main
@@ -47,8 +50,9 @@ type result struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// allowance is how many allocations per op NEW may add to OLD's count.
-func allowance(old int64) int64 { return old / 500 }
+// allowance is how many allocations per op NEW's count may differ from
+// OLD's, either way.
+func allowance(old int64) int64 { return old / 200 }
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -91,11 +95,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		allowed := allowance(*o.AllocsPerOp)
 		mark := ""
-		if *nw.AllocsPerOp > *o.AllocsPerOp+allowed {
+		switch d := *nw.AllocsPerOp - *o.AllocsPerOp; {
+		case d > allowed:
 			mark = "  REGRESSION"
 			failed++
+		case d < -allowed:
+			mark = "  BELOW OLD: record the baseline again"
+			failed++
 		}
-		fmt.Fprintf(stdout, "%-42s %12d %12d %+8d%s\n", n, *o.AllocsPerOp, *nw.AllocsPerOp, allowed, mark)
+		fmt.Fprintf(stdout, "%-42s %12d %12d %8s%s\n", n, *o.AllocsPerOp, *nw.AllocsPerOp, fmt.Sprintf("±%d", allowed), mark)
 		fmt.Fprintf(stdout, "  ms/op: %.3f -> %.3f\n", o.NsPerOp/1e6, nw.NsPerOp/1e6)
 		if o.BytesPerOp != nil && nw.BytesPerOp != nil {
 			fmt.Fprintf(stdout, "  B/op: %d -> %d\n", *o.BytesPerOp, *nw.BytesPerOp)
@@ -110,10 +118,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(stdout, "FAIL: %d benchmark(s) allocate more than OLD + OLD/500 per op or are missing from NEW\n", failed)
+		fmt.Fprintf(stdout, "FAIL: %d benchmark(s) allocate more or less than OLD ± OLD/200 per op or are missing from NEW\n", failed)
 		return 1
 	}
-	fmt.Fprintln(stdout, "ok: no allocation regression beyond OLD + OLD/500 per op")
+	fmt.Fprintln(stdout, "ok: every allocation count within OLD ± OLD/200 per op")
 	return 0
 }
 

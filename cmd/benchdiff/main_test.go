@@ -52,43 +52,57 @@ func TestIdenticalSnapshotsPass(t *testing.T) {
 	if code := run([]string{p, p}, &out, &errOut); code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "no allocation regression") {
+	if !strings.Contains(out.String(), "every allocation count within") {
 		t.Errorf("missing ok line:\n%s", out.String())
 	}
 }
 
-// Below 500 allocs/op the allowance OLD/500 is zero: one extra
-// allocation on a 22-alloc benchmark fails.
+// Below 200 allocs/op the allowance OLD/200 is zero: one allocation
+// more or fewer on a 22-alloc benchmark fails.
 func TestOneExtraAllocFails(t *testing.T) {
 	old := writeSnap(t, "old.json", baseSnap())
-	nw := writeSnap(t, "new.json", withAllocs("BenchmarkFast", 23))
-	var out, errOut strings.Builder
-	if code := run([]string{old, nw}, &out, &errOut); code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "22           23       +0  REGRESSION") {
-		t.Errorf("the BenchmarkFast line should show 22 -> 23 against +0 and fail:\n%s", out.String())
+	for _, tc := range []struct {
+		allocs int64
+		want   string
+	}{
+		{23, "22           23       ±0  REGRESSION"},
+		{21, "22           21       ±0  BELOW OLD: record the baseline again"},
+	} {
+		nw := writeSnap(t, "new.json", withAllocs("BenchmarkFast", tc.allocs))
+		var out, errOut strings.Builder
+		if code := run([]string{old, nw}, &out, &errOut); code != 1 {
+			t.Fatalf("22 -> %d: exit = %d, want 1\n%s", tc.allocs, code, out.String())
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("the BenchmarkFast line should read %q:\n%s", tc.want, out.String())
+		}
 	}
 }
 
-// On 54 634 allocs/op the allowance is 54 634/500 = 109: +109 passes
-// and +110 fails.
+// On 54 634 allocs/op the allowance is 54 634/200 = 273 either way:
+// ±273 passes, +274 fails as a regression and −274 as a count the
+// baseline must record again.
 func TestRegressionBeyondBandFails(t *testing.T) {
 	old := writeSnap(t, "old.json", baseSnap())
 	for _, tc := range []struct {
 		allocs int64
 		want   int
+		mark   string
 	}{
-		{54634 + 109, 0},
-		{54634 + 110, 1},
+		{54634 + 273, 0, ""},
+		{54634 - 273, 0, ""},
+		{54634 + 274, 1, "REGRESSION"},
+		{54634 - 274, 1, "BELOW OLD"},
 	} {
 		nw := writeSnap(t, "new.json", withAllocs("BenchmarkSlow", tc.allocs))
 		var out, errOut strings.Builder
 		if code := run([]string{old, nw}, &out, &errOut); code != tc.want {
 			t.Fatalf("%d allocs/op: exit = %d, want %d\n%s", tc.allocs, code, tc.want, out.String())
 		}
-		if marked := strings.Contains(out.String(), "REGRESSION"); marked != (tc.want == 1) {
-			t.Errorf("%d allocs/op: REGRESSION marker = %v:\n%s", tc.allocs, marked, out.String())
+		for _, mark := range []string{"REGRESSION", "BELOW OLD"} {
+			if marked := strings.Contains(out.String(), mark); marked != (mark == tc.mark) {
+				t.Errorf("%d allocs/op: %s marker = %v:\n%s", tc.allocs, mark, marked, out.String())
+			}
 		}
 	}
 }
@@ -195,19 +209,17 @@ func TestToolchainMismatchExitsTwo(t *testing.T) {
 // The committed allocation baseline must stay loadable and self-compare
 // clean; CI gates every fresh snapshot against it.
 func TestCommittedSnapshotSelfCompares(t *testing.T) {
-	matches, err := filepath.Glob(filepath.Join("..", "..", "bench", "BENCH_*-allocs.json"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("want one committed bench/BENCH_*-allocs.json baseline, found %v (%v)", matches, err)
-	}
+	baseline := filepath.Join("..", "..", "bench", "BENCH_allocs.json")
 	var out, errOut strings.Builder
-	if code := run([]string{matches[0], matches[0]}, &out, &errOut); code != 0 {
-		t.Fatalf("self-compare of %s: exit %d\n%s%s", matches[0], code, out.String(), errOut.String())
+	if code := run([]string{baseline, baseline}, &out, &errOut); code != 0 {
+		t.Fatalf("self-compare of %s: exit %d\n%s%s", baseline, code, out.String(), errOut.String())
 	}
 }
 
 // The snapshot writer records allocs_per_op and bytes_per_op, zero
 // included. benchdiff reads zeros back as present counts: a count that
-// falls to zero passes, and a zero baseline allows no allocation.
+// falls to zero asks for the baseline to be recorded again, and a zero
+// baseline allows no allocation.
 func TestAllocsRoundTrip(t *testing.T) {
 	// The writer's encoding (benchResult in bench_snapshot_test.go).
 	written := func(allocs, bytes int) string {
@@ -245,8 +257,8 @@ func TestAllocsRoundTrip(t *testing.T) {
 		code     int
 		want     string
 	}{
-		{before, after, 0, "12            0       +0\n  ms/op: 1.000 -> 1.000\n  B/op: 4096 -> 0"},
-		{after, before, 1, "0           12       +0  REGRESSION\n  ms/op: 1.000 -> 1.000\n  B/op: 0 -> 4096"},
+		{before, after, 1, "12            0       ±0  BELOW OLD: record the baseline again\n  ms/op: 1.000 -> 1.000\n  B/op: 4096 -> 0"},
+		{after, before, 1, "0           12       ±0  REGRESSION\n  ms/op: 1.000 -> 1.000\n  B/op: 0 -> 4096"},
 	} {
 		var out, errOut strings.Builder
 		if code := run([]string{tc.old, tc.new}, &out, &errOut); code != tc.code {
